@@ -20,6 +20,8 @@ from typing import Optional
 
 import mpmath as mp
 
+from .construction import regime
+
 NEG_INF = mp.mpf("-inf")
 
 
@@ -89,14 +91,30 @@ def _report(steps, dps) -> ChainReport:
     return ChainReport(tuple(steps), first, dps)
 
 
-def _with_reverification(builder, dps: int) -> ChainReport:
+def _replay_args(n, log_n, dps: Optional[int]):
+    """log n and the working precision from a replay's public arguments."""
+    if (n is None) == (log_n is None):
+        raise DomainError("pass exactly one of n, log_n")
+    if log_n is None:
+        log_n = mp.log(mp.mpf(n))
+    if mp.mpf(log_n) <= 1:
+        raise DomainError("need log log n > 0")
+    return log_n, dps or default_dps()
+
+
+def _with_reverification(build, verdicts, dps: int):
+    """build(dps) at dps and 2*dps digits; PrecisionError if verdicts differ."""
     with mp.workdps(dps):
-        rep = _report(builder(), dps)
+        rep = build(dps)
     with mp.workdps(2 * dps):
-        rep2 = _report(builder(), 2 * dps)
-    if [s.holds for s in rep.steps] != [s.holds for s in rep2.steps]:
-        raise PrecisionError("step verdicts changed at double precision")
+        rep2 = build(2 * dps)
+    if verdicts(rep) != verdicts(rep2):
+        raise PrecisionError("verdicts changed at double precision")
     return rep
+
+
+def _step_verdicts(rep: ChainReport) -> list[bool]:
+    return [s.holds for s in rep.steps]
 
 
 def _log_binom_real(y, m: int):
@@ -113,39 +131,20 @@ def _log_binom_real(y, m: int):
     return total - mp.loggamma(m + 1)
 
 
-def _regime(log_n):
-    log_n = mp.mpf(log_n)
-    if log_n <= 1:
-        raise DomainError("need log log n > 0")
-    eps = 1 / mp.sqrt(log_n)
-    c_real = mp.log(log_n) / 10
-    # snap float round-off below an integer boundary (e.g. log n given as a
-    # 53-bit approximation of e^10)
-    c_int = int(mp.floor(c_real * (1 + mp.mpf("1e-12"))))
-    return log_n, eps, c_real, c_int
-
-
-def _log_layer(log_n, eps, j: int):
-    return (1 - mp.power(20, j) * eps) * log_n
-
-
 def reg_chain(n=None, *, log_n=None, i: int, x: int, dps: Optional[int] = None) -> ChainReport:
     """Replay the regular-subgraph probability chain for event index i and
     subgraph size x (log-space values of the seven displayed expressions)."""
-    if (n is None) == (log_n is None):
-        raise DomainError("pass exactly one of n, log_n")
+    log_n, dps = _replay_args(n, log_n, dps)
     if x < 1:
         raise DomainError("x must be >= 1")
-    dps = dps or default_dps()
-    if log_n is None:
-        log_n = mp.log(mp.mpf(n))
 
-    def build():
-        ln, eps, c_real, c_int = _regime(log_n)
-        if not (2 <= i <= c_int + 1):
-            raise DomainError(f"need 2 <= i <= C+1 = {c_int + 1}")
-        log_b_prev = _log_layer(ln, eps, i - 1)
-        log_b_i = _log_layer(ln, eps, i)
+    def build(dps):
+        reg = regime(log_n)
+        ln, eps = reg.log_n, reg.epsilon
+        if not (2 <= i <= reg.num_layers + 1):
+            raise DomainError(f"need 2 <= i <= C+1 = {reg.num_layers + 1}")
+        log_b_prev = reg.log_layer_size(i - 1)
+        log_b_i = reg.log_layer_size(i)
         m = -((-11 * x) // 10)  # ceil(1.1 x), exact
         xm = mp.mpf(x)
         l1 = (
@@ -163,16 +162,16 @@ def reg_chain(n=None, *, log_n=None, i: int, x: int, dps: Optional[int] = None) 
         l5 = x * (mp.log(100) + ln + log_b_i / 10 - (mp.mpf(11) / 10) * log_b_prev)
         l6 = x * (mp.log(100) - (mp.mpf(9) / 10) * mp.power(20, i - 1) * eps * ln)
         l7 = -x * mp.sqrt(ln) / 2
-        return [
+        return _report([
             _step("binomials_vs_entropy", l1, l2),
             _step("drop_ceiling", l2, l3),
             _step("collect_constants", l3, l4),
             _step("x_at_most_1000Bi", l4, l5),
             _step("layer_size_identity", l5, l6, identity=True),
             _step("exponent_vs_half_sqrt_logn", l6, l7),
-        ]
+        ], dps)
 
-    return _with_reverification(build, dps)
+    return _with_reverification(build, _step_verdicts, dps)
 
 
 def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) -> ChainReport:
@@ -183,18 +182,15 @@ def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) ->
     not free parameters of the replay; their aggregate enters the chain at
     the documented boundary value 8 log C, and the elementwise inequality
     (1-t) <= e^{-t} behind the product bound is replayed at t = p_i."""
-    if (n is None) == (log_n is None):
-        raise DomainError("pass exactly one of n, log_n")
-    dps = dps or default_dps()
-    if log_n is None:
-        log_n = mp.log(mp.mpf(n))
+    log_n, dps = _replay_args(n, log_n, dps)
 
-    def build():
-        ln, eps, c_real, c_int = _regime(log_n)
+    def build(dps):
+        reg = regime(log_n)
+        c_real = reg.c_real
         if c_real <= 1:
             raise DomainError("need C > 1 so log C > 0")
-        if not (1 <= i <= c_int):
-            raise DomainError(f"need 1 <= i <= C = {c_int}")
+        if not (1 <= i <= reg.num_layers):
+            raise DomainError(f"need 1 <= i <= C = {reg.num_layers}")
         p = mp.mpf(p_i)
         log_c = mp.log(c_real)
         lo = log_c / c_real
@@ -203,11 +199,9 @@ def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) ->
         if p < lo * (1 - mp.mpf("1e-12")) or p > 1:
             raise DomainError("need (log C)/C <= p_i <= 1")
         p = max(p, lo)
-        b_i = mp.exp(_log_layer(ln, eps, i))
-        tail = mp.fsum(
-            mp.exp(_log_layer(ln, eps, j)) for j in range(i + 1, c_int + 1)
-        )
-        small = mp.exp(-5 * mp.sqrt(ln))
+        b_i = mp.exp(reg.log_layer_sizes[i - 1])
+        tail = mp.fsum(mp.exp(log_b) for log_b in reg.log_layer_sizes[i:])
+        small = mp.exp(-5 * mp.sqrt(reg.log_n))
         log_inv_p = -mp.log(p)
         s0_left = p * b_i * mp.log(1 - p) if p < 1 else NEG_INF
         s0_right = -p * p * b_i
@@ -219,16 +213,16 @@ def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) ->
         v1 = b_i * (-8 * p * log_c + p * (1 + log_inv_p) + small)
         v2 = b_i * (-8 * p * log_c + 2 * p * log_c + small)
         v3 = -b_i * (6 * log_c**2 / c_real - small)
-        return [
+        return _report([
             _step("one_minus_t_vs_exp_at_p_i", s0_left, s0_right),
             _step("counting_and_tail_sizes", v0, v1),
             _step("entropy_vs_2logC", v1, v2),
             _step("p_i_at_least_logC_over_C", v2, v3),
             _step("side_tail_sizes", tail, b_i * small),
             _step("side_entropy", 1 + log_inv_p, 2 * log_c),
-        ]
+        ], dps)
 
-    return _with_reverification(build, dps)
+    return _with_reverification(build, _step_verdicts, dps)
 
 
 @dataclass(frozen=True)
@@ -252,14 +246,11 @@ class UnionBoundsReport:
 def union_bounds(n=None, *, log_n=None, dps: Optional[int] = None) -> UnionBoundsReport:
     """Close the two union bounds: the geometric sum over subgraph sizes and
     the per-layer comparison |B_i| e^{-D |B_i|} <= e^{-sqrt(n)}."""
-    if (n is None) == (log_n is None):
-        raise DomainError("pass exactly one of n, log_n")
-    dps = dps or default_dps()
-    if log_n is None:
-        log_n = mp.log(mp.mpf(n))
+    log_n, dps = _replay_args(n, log_n, dps)
 
-    def build():
-        ln, eps, c_real, c_int = _regime(log_n)
+    def build(dps):
+        reg = regime(log_n)
+        ln, c_real = reg.log_n, reg.c_real
         if c_real <= 1:
             raise DomainError("need C > 1 so log C > 0")
         r = mp.exp(-mp.sqrt(ln) / 2)
@@ -280,21 +271,15 @@ def union_bounds(n=None, *, log_n=None, dps: Optional[int] = None) -> UnionBound
         d = 6 * log_c**2 / c_real - small
         per_layer = []
         sqrt_n = mp.exp(ln / 2)
-        for i in range(1, c_int + 1):
-            log_b = _log_layer(ln, eps, i)
+        for i, log_b in enumerate(reg.log_layer_sizes, start=1):
             lhs = log_b - d * mp.exp(log_b)
             rhs = -sqrt_n
             per_layer.append((i, lhs, rhs, bool(lhs <= rhs + _tol(lhs, rhs))))
-        return r, closed, partial, 2 * r, closure, matches, tuple(per_layer)
+        return UnionBoundsReport(
+            r, closed, partial, 2 * r, closure, matches, tuple(per_layer), dps
+        )
 
-    with mp.workdps(dps):
-        vals = build()
-        rep = UnionBoundsReport(*vals, dps)
-    with mp.workdps(2 * dps):
-        vals2 = build()
-        rep2 = UnionBoundsReport(*vals2, 2 * dps)
-    flags = (rep.closure_holds, rep.partial_matches, [h for *_, h in rep.per_layer])
-    flags2 = (rep2.closure_holds, rep2.partial_matches, [h for *_, h in rep2.per_layer])
-    if flags != flags2:
-        raise PrecisionError("union-bound verdicts changed at double precision")
-    return rep
+    def verdicts(rep):
+        return rep.closure_holds, rep.partial_matches, [h for *_, h in rep.per_layer]
+
+    return _with_reverification(build, verdicts, dps)

@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
@@ -26,15 +27,17 @@ from .construction import (
     explicit_params,
     paper_params,
     paper_weighting,
+    total_weight,
 )
 from .density import (
     CERTIFIED,
+    INCONCLUSIVE,
     prefix_certificate_3reg_bipartite,
     prefix_certificate_4reg,
 )
 from .fractional import ColumnLimitExceeded, chi_f_exact, chi_f_lower_bound
 from .graph import Graph, degeneracy
-from .regular import BUDGET_EXCEEDED, DEFAULT_BUDGET, find_k_regular
+from .regular import BUDGET_EXCEEDED, DEFAULT_BUDGET, NOT_FOUND, find_k_regular
 from .subsample import SubsampleParams, harris_subsample
 
 EXIT_OK = 0
@@ -44,10 +47,6 @@ EXIT_INCONCLUSIVE = 2
 
 def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _read_graph(path: str):
@@ -61,13 +60,16 @@ def _layered(g: Graph, layers) -> LayeredGraph:
     return LayeredGraph(g, layers)
 
 
-def _emit(doc, out_path=None) -> None:
-    text = json.dumps(doc, indent=2)
+def _emit(text: str, out_path=None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_json(doc, out_path=None) -> None:
+    _emit(json.dumps(doc, indent=2), out_path)
 
 
 def cmd_construct(args) -> int:
@@ -81,12 +83,7 @@ def cmd_construct(args) -> int:
         params = paper_params(log_n=log_n, seed=args.seed)
     lg = build(params)
     lg.check_invariants()
-    text = lg.graph.to_json(layers=lg.layer_sizes)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(lg.graph.to_json(layers=lg.layer_sizes), args.out)
     return EXIT_OK
 
 
@@ -104,14 +101,14 @@ def cmd_detect_regular(args) -> int:
         },
         "nodes_expanded": res.nodes_expanded,
     }
-    _emit(doc, args.out)
+    _emit_json(doc, args.out)
     return EXIT_INCONCLUSIVE if res.outcome == BUDGET_EXCEEDED else EXIT_OK
 
 
 def cmd_certify(args) -> int:
     g, layers = _read_graph(args.infile)
     lg = _layered(g, layers)
-    threshold = parse_frac(args.threshold)
+    threshold = Fraction(args.threshold)
     if args.k == 4:
         outcome = prefix_certificate_4reg(lg, threshold)
     elif args.k == 3:
@@ -134,7 +131,7 @@ def cmd_certify(args) -> int:
             for p in outcome.prefixes
         ],
     }
-    _emit(doc, args.out)
+    _emit_json(doc, args.out)
     return EXIT_OK if outcome.verdict == CERTIFIED else EXIT_INCONCLUSIVE
 
 
@@ -146,10 +143,10 @@ def cmd_chif(args) -> int:
         else:
             w = {v: Fraction(1) for v in range(g.n)}
         lb = chi_f_lower_bound(g, w)
-        _emit(
+        _emit_json(
             {
                 "chi_f_lower_bound": frac_str(lb),
-                "total_weight": frac_str(sum(w.values(), Fraction(0))),
+                "total_weight": frac_str(total_weight(w)),
             },
             args.out,
         )
@@ -157,7 +154,7 @@ def cmd_chif(args) -> int:
     try:
         value, primal, dual = chi_f_exact(g, column_limit=args.column_limit)
     except ColumnLimitExceeded as exc:
-        _emit(
+        _emit_json(
             {
                 "chi_f": None,
                 "lower": frac_str(exc.lower),
@@ -175,14 +172,14 @@ def cmd_chif(args) -> int:
         ],
         "dual": {str(v): frac_str(x) for v, x in sorted(dual.weights.items()) if x},
     }
-    _emit(doc, args.out)
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
 def cmd_degeneracy(args) -> int:
     g, _ = _read_graph(args.infile)
     d, ordering = degeneracy(g)
-    _emit({"degeneracy": d, "ordering": list(ordering.order)}, args.out)
+    _emit_json({"degeneracy": d, "ordering": list(ordering.order)}, args.out)
     return EXIT_OK
 
 
@@ -190,7 +187,7 @@ def cmd_subsample(args) -> int:
     g, layers = _read_graph(args.infile)
     d, ordering = degeneracy(g)
     threshold = args.threshold if args.threshold is not None else max(d, 1)
-    p = parse_frac(args.p)
+    p = Fraction(args.p)
     if layers is not None:
         w = paper_weighting(_layered(g, layers))
     else:
@@ -215,7 +212,7 @@ def cmd_subsample(args) -> int:
         "trials": trials,
         "mean_retained_weight": frac_str(total / args.trials),
     }
-    _emit(doc, args.out)
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
@@ -241,11 +238,11 @@ def cmd_bounds(args) -> int:
     log_n = mp.log(bounds_mod.parse_real(args.n))
     if args.which == "reg":
         rep = bounds_mod.reg_chain(log_n=log_n, i=args.i, x=args.x)
-        _emit(_chain_doc(rep), args.out)
+        _emit_json(_chain_doc(rep), args.out)
         return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
     if args.which == "frac":
         rep = bounds_mod.frac_chain(log_n=log_n, i=args.i, p_i=mp.mpf(args.p_i))
-        _emit(_chain_doc(rep), args.out)
+        _emit_json(_chain_doc(rep), args.out)
         return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
     rep = bounds_mod.union_bounds(log_n=log_n)
     doc = {
@@ -261,7 +258,7 @@ def cmd_bounds(args) -> int:
         "all_hold": rep.all_hold,
         "dps": rep.dps,
     }
-    _emit(doc, args.out)
+    _emit_json(doc, args.out)
     return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
 
 
@@ -277,54 +274,82 @@ ALL_CHECKS = (
 )
 
 
+class SweepCheck(NamedTuple):
+    """One `sweep` check: how it runs on an instance, and which of its
+    records count as a success or as an inconclusive outcome."""
+
+    run: Callable[[LayeredGraph, int], dict]  # (instance, seed) -> record
+    succeeded: Callable[[dict], bool]
+    inconclusive: Callable[[dict], bool] = lambda rec: False
+
+
+def _degeneracy_check(lg: LayeredGraph, seed: int) -> dict:
+    d, _ = degeneracy(lg.graph)
+    return {"value": d, "within_bound": d <= lg.num_layers - 1}
+
+
+def _detect_check(k: int, graph_of) -> SweepCheck:
+    def run(lg: LayeredGraph, seed: int) -> dict:
+        r = find_k_regular(graph_of(lg), k)
+        return {"outcome": r.outcome, "nodes_expanded": r.nodes_expanded}
+
+    return SweepCheck(
+        run,
+        lambda rec: rec["outcome"] == NOT_FOUND,
+        lambda rec: rec["outcome"] == BUDGET_EXCEEDED,
+    )
+
+
+def _certify_check(certificate) -> SweepCheck:
+    return SweepCheck(
+        lambda lg, seed: {"verdict": certificate(lg).verdict},
+        lambda rec: rec["verdict"] == CERTIFIED,
+        lambda rec: rec["verdict"] == INCONCLUSIVE,
+    )
+
+
+def _chif_lb_check(lg: LayeredGraph, seed: int) -> dict:
+    w = paper_weighting(lg)
+    return {
+        "value": frac_str(chi_f_lower_bound(lg.graph, w)),
+        "total_weight": frac_str(total_weight(w)),
+    }
+
+
+def _chif_exact_check(lg: LayeredGraph, seed: int) -> dict:
+    try:
+        value, _, _ = chi_f_exact(lg.graph)
+    except ColumnLimitExceeded as exc:
+        return {"value": None, "lower": frac_str(exc.lower), "upper": frac_str(exc.upper)}
+    return {"value": frac_str(value)}
+
+
+def _subsample_check(lg: LayeredGraph, seed: int) -> dict:
+    d, ordering = degeneracy(lg.graph)
+    params = SubsampleParams(p=Fraction(1, 4), degen_threshold=max(d, 1), seed=seed)
+    res = harris_subsample(lg.graph, ordering, params, paper_weighting(lg))
+    return {"x_size": len(res.x), "retained_weight": frac_str(res.retained_weight)}
+
+
+# In the order the checks run, which is also the key order of a record's
+# "checks"; ALL_CHECKS is the documented order of the CSV summary.
+SWEEP_CHECKS = {
+    "degeneracy": SweepCheck(_degeneracy_check, lambda rec: rec["within_bound"]),
+    "detect4": _detect_check(4, lambda lg: lg.graph),
+    "detect3": _detect_check(3, bipartite_variant),
+    "certify4": _certify_check(prefix_certificate_4reg),
+    "certify3": _certify_check(prefix_certificate_3reg_bipartite),
+    "chif_lb": SweepCheck(_chif_lb_check, lambda rec: True),
+    "chif_exact": SweepCheck(_chif_exact_check, lambda rec: rec["value"] is not None),
+    "subsample": SweepCheck(_subsample_check, lambda rec: True),
+}
+
+
 def run_checks(sizes, seed: int, checks) -> dict:
     """One seed's worth of checks; everything but timings is deterministic."""
     lg = build(explicit_params(sizes, seed=seed))
     lg.check_invariants()
-    g = lg.graph
-    out: dict = {}
-    if "degeneracy" in checks:
-        d, _ = degeneracy(g)
-        out["degeneracy"] = {"value": d, "within_bound": d <= lg.num_layers - 1}
-    if "detect4" in checks:
-        r = find_k_regular(g, 4)
-        out["detect4"] = {"outcome": r.outcome, "nodes_expanded": r.nodes_expanded}
-    if "detect3" in checks:
-        r = find_k_regular(bipartite_variant(lg), 3)
-        out["detect3"] = {"outcome": r.outcome, "nodes_expanded": r.nodes_expanded}
-    if "certify4" in checks:
-        c = prefix_certificate_4reg(lg)
-        out["certify4"] = {"verdict": c.verdict}
-    if "certify3" in checks:
-        c = prefix_certificate_3reg_bipartite(lg)
-        out["certify3"] = {"verdict": c.verdict}
-    if "chif_lb" in checks:
-        w = paper_weighting(lg)
-        out["chif_lb"] = {
-            "value": frac_str(chi_f_lower_bound(g, w)),
-            "total_weight": frac_str(sum(w.values(), Fraction(0))),
-        }
-    if "chif_exact" in checks:
-        try:
-            value, _, _ = chi_f_exact(g)
-            out["chif_exact"] = {"value": frac_str(value)}
-        except ColumnLimitExceeded as exc:
-            out["chif_exact"] = {
-                "value": None,
-                "lower": frac_str(exc.lower),
-                "upper": frac_str(exc.upper),
-            }
-    if "subsample" in checks:
-        d, ordering = degeneracy(g)
-        params = SubsampleParams(
-            p=Fraction(1, 4), degen_threshold=max(d, 1), seed=seed
-        )
-        res = harris_subsample(g, ordering, params, paper_weighting(lg))
-        out["subsample"] = {
-            "x_size": len(res.x),
-            "retained_weight": frac_str(res.retained_weight),
-        }
-    return out
+    return {c: SWEEP_CHECKS[c].run(lg, seed) for c in SWEEP_CHECKS if c in checks}
 
 
 def cmd_sweep(args) -> int:
@@ -351,40 +376,20 @@ def cmd_sweep(args) -> int:
             "elapsed_s": round(time.monotonic() - t0, 6),
             "version": __version__,
         }
-        for v in outcomes.values():
-            if v.get("outcome") == BUDGET_EXCEEDED or v.get("verdict") == "inconclusive":
-                inconclusive = True
+        inconclusive |= any(SWEEP_CHECKS[c].inconclusive(r) for c, r in outcomes.items())
         records.append(rec)
     nd_path = args.out + ".ndjson"
     with open(nd_path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    # summary: per-check success frequencies
-    summary = {}
-    for c in checks:
-        n_ok = 0
-        n_run = 0
-        for rec in records:
-            r = rec["checks"].get(c)
-            if r is None:
-                continue
-            n_run += 1
-            ok = (
-                r.get("outcome") == "not_found"
-                or r.get("verdict") == "certified"
-                or r.get("within_bound") is True
-                or ("value" in r and r["value"] is not None)
-                or "x_size" in r
-            )
-            n_ok += bool(ok)
-        summary[c] = (n_ok, n_run)
     csv_path = args.out + ".csv"
     with open(csv_path, "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(["check", "successes", "runs", "frequency"])
         for c in checks:
-            ok, run = summary[c]
-            wtr.writerow([c, ok, run, (ok / run) if run else ""])
+            runs = [rec["checks"][c] for rec in records if c in rec["checks"]]
+            ok = sum(SWEEP_CHECKS[c].succeeded(r) for r in runs)
+            wtr.writerow([c, ok, len(runs), (ok / len(runs)) if runs else ""])
     print(f"wrote {nd_path} and {csv_path}")
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
@@ -417,9 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chif", help="fractional chromatic number")
     p.add_argument("--in", dest="infile", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--lower-bound", action="store_true")
+    p.add_argument("--lower-bound", action="store_true")
     p.add_argument("--weights", choices=("paper", "unit"), default="paper")
     p.add_argument("--column-limit", type=int, default=10_000)
     p.add_argument("--out")

@@ -10,14 +10,14 @@ Two parameter entry points:
   * paper_params / paper_regime: the asymptotic sizing |B_i| = n^(1-20^i*eps)
     with eps = 1/sqrt(log n) and C = floor(log log n / 10).  Any n with
     C >= 1 already has layer sizes with thousands of digits, so paper_params
-    materializes exact integer sizes only below a digit cap and paper_regime
-    exposes the log-space view for the inequality-replay tooling.
+    materializes exact integer sizes only below a digit cap; regime is the
+    one log-space view, shared with the inequality replay in bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -55,31 +55,49 @@ class ConstructionParams:
 @dataclass(frozen=True)
 class PaperRegime:
     """Log-space view of the asymptotic parameterization (sizes as logs,
-    since the integers themselves are astronomically large)."""
+    since the integers themselves are astronomically large).  Every field
+    carries the working precision it was computed at."""
 
     log_n: mp.mpf
     epsilon: mp.mpf
+    c_real: mp.mpf  # log log n / 10, before the floor
     num_layers: int
-    log_layer_sizes: tuple  # natural logs of the real-valued |B_i|
+    log_layer_sizes: tuple = field(init=False)  # logs of the real |B_1|..|B_C|
+
+    def __post_init__(self):
+        logs = tuple(self.log_layer_size(i) for i in range(1, self.num_layers + 1))
+        object.__setattr__(self, "log_layer_sizes", logs)
+
+    def log_layer_size(self, i: int) -> mp.mpf:
+        """log|B_i| = (1 - 20^i * epsilon) * log n, for any i >= 1."""
+        return (1 - mp.power(20, i) * self.epsilon) * self.log_n
+
+
+def regime(log_n) -> PaperRegime:
+    """epsilon = 1/sqrt(log n), C = floor(log log n / 10) and log|B_i|, at the
+    caller's working precision (the inequality replay re-runs it at twice the
+    digits).  C may be < 1 here; paper_regime rejects that."""
+    log_n = mp.mpf(log_n)
+    if log_n <= 1:
+        raise ParamError("need log log n > 0, i.e. n > e")
+    eps = 1 / mp.sqrt(log_n)
+    c_real = mp.log(log_n) / 10
+    # snap float round-off below an integer boundary (e.g. log n given as a
+    # 53-bit approximation of e^10)
+    c = int(mp.floor(c_real * (1 + mp.mpf("1e-12"))))
+    return PaperRegime(log_n, eps, c_real, c)
 
 
 def paper_regime(log_n, dps: int = 50) -> PaperRegime:
-    """epsilon = 1/sqrt(log n), C = floor(log log n / 10),
-    log|B_i| = (1 - 20^i * epsilon) * log n."""
+    """The regime evaluated at dps digits; ParamError below it (C < 1)."""
     with mp.workdps(dps):
-        log_n = mp.mpf(log_n)
-        if log_n <= 1:
-            raise ParamError("need log log n > 0, i.e. n > e")
-        eps = 1 / mp.sqrt(log_n)
-        # snap float round-off below an integer boundary
-        c = int(mp.floor(mp.log(log_n) / 10 * (1 + mp.mpf("1e-12"))))
-        if c < 1:
-            raise ParamError(
-                f"C = floor(log log n / 10) = {c} < 1; n is below the "
-                "asymptotic regime, use explicit_params"
-            )
-        logs = tuple((1 - mp.power(20, i) * eps) * log_n for i in range(1, c + 1))
-        return PaperRegime(log_n=log_n, epsilon=eps, num_layers=c, log_layer_sizes=logs)
+        reg = regime(log_n)
+    if reg.num_layers < 1:
+        raise ParamError(
+            f"C = floor(log log n / 10) = {reg.num_layers} < 1; n is below the "
+            "asymptotic regime, use explicit_params"
+        )
+    return reg
 
 
 def paper_params(
@@ -101,26 +119,21 @@ def paper_params(
         if n < 16:
             raise ParamError("need n >= 16 so that log log n > 0")
         log_n = mp.log(n)
-    regime = paper_regime(log_n)
-    digits = int(max(ls for ls in regime.log_layer_sizes) / math.log(10)) + 1
+    reg = paper_regime(log_n)
+    digits = int(max(ls for ls in reg.log_layer_sizes) / math.log(10)) + 1
     if digits > max_digits:
         raise ParamError(
             f"layer sizes need ~{digits} digits (> max_digits={max_digits}); "
             "use paper_regime for log-space access"
         )
     with mp.workdps(max(digits + 20, 50)):
-        ln = mp.mpf(log_n)
-        eps = 1 / mp.sqrt(ln)
-        sizes = []
-        for i in range(1, regime.num_layers + 1):
-            exponent = (1 - mp.power(20, i) * eps) * ln
-            sizes.append(max(1, int(mp.nint(mp.exp(exponent)))))
-    total = sum(sizes)
-    n_nominal = n if n is not None else total + 1
+        logs = regime(log_n).log_layer_sizes
+        sizes = [max(1, int(mp.nint(mp.exp(ls)))) for ls in logs]
+    n_nominal = n if n is not None else sum(sizes) + 1
     return ConstructionParams(
         n=n_nominal,
-        epsilon=float(regime.epsilon),
-        num_layers=regime.num_layers,
+        epsilon=float(reg.epsilon),
+        num_layers=reg.num_layers,
         layer_sizes=tuple(sizes),
         seed=seed,
     )
@@ -129,8 +142,6 @@ def paper_params(
 def explicit_params(layer_sizes, seed: int = 0) -> ConstructionParams:
     """Desk-scale params: the given sizes verbatim, n = their sum."""
     sizes = tuple(int(s) for s in layer_sizes)
-    if not sizes:
-        raise EmptyLayers("need at least one layer")
     return ConstructionParams(
         n=sum(sizes),
         epsilon=None,

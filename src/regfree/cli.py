@@ -4,7 +4,7 @@ Subcommands: construct, detect-regular, certify, chif, degeneracy,
 subsample, bounds (reg/frac/union), sweep.  All rationals are serialized
 as "a/b" strings in lowest terms; huge reals as decimal strings of their
 natural logs.  Exit codes: 0 success, 2 inconclusive outcome present,
-1 error.
+1 error; sweep writes every record first and exits 1 if any seed raised.
 """
 
 from __future__ import annotations
@@ -340,7 +340,11 @@ SWEEP_CHECKS = {
     "certify4": _certify_check(prefix_certificate_4reg),
     "certify3": _certify_check(prefix_certificate_3reg_bipartite),
     "chif_lb": SweepCheck(_chif_lb_check, lambda rec: True),
-    "chif_exact": SweepCheck(_chif_exact_check, lambda rec: rec["value"] is not None),
+    "chif_exact": SweepCheck(
+        _chif_exact_check,
+        lambda rec: rec["value"] is not None,
+        lambda rec: rec["value"] is None,  # column limit hit
+    ),
     "subsample": SweepCheck(_subsample_check, lambda rec: True),
 }
 
@@ -391,6 +395,10 @@ def cmd_sweep(args) -> int:
             ok = sum(SWEEP_CHECKS[c].succeeded(r) for r in runs)
             wtr.writerow([c, ok, len(runs), (ok / len(runs)) if runs else ""])
     print(f"wrote {nd_path} and {csv_path}")
+    failed = sum(rec["error"] is not None for rec in records)
+    if failed:
+        print(f"error: {failed} of {len(records)} seeds raised", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from regfree import cli
 from regfree.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -12,6 +13,7 @@ from regfree.cli import (
     run_checks,
 )
 from regfree.construction import build, explicit_params
+from regfree.fractional import chi_f_exact
 from regfree.graph import Graph
 
 from fractions import Fraction
@@ -213,6 +215,38 @@ class TestSweep:
         ]
         strip = lambda r: {k: v for k, v in r.items() if k != "elapsed_s"}
         assert [strip(r) for r in recs] == [strip(r) for r in recs2]
+
+    def test_column_limit_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # a column cap of 1 forces the limit that chif reports with exit 2
+        monkeypatch.setattr(
+            cli, "chi_f_exact", lambda g: chi_f_exact(g, column_limit=1)
+        )
+        prefix = tmp_path / "sweep"
+        code, _, _ = run(
+            ["sweep", "--sizes", "16,4", "--seeds", "0:2", "--checks", "chif_exact",
+             "--out", str(prefix)],
+            capsys,
+        )
+        assert code == EXIT_INCONCLUSIVE
+        for line in (tmp_path / "sweep.ndjson").read_text().splitlines():
+            rec = json.loads(line)["checks"]["chif_exact"]
+            assert rec["value"] is None and "lower" in rec and "upper" in rec
+        with open(tmp_path / "sweep.csv") as fh:
+            assert ["chif_exact", "0", "2", "0.0"] in list(csv.reader(fh))
+
+    def test_seed_errors_exit_nonzero(self, tmp_path, capsys):
+        # a zero-size layer makes every seed raise inside run_checks
+        prefix = tmp_path / "sweep"
+        code, out, err = run(
+            ["sweep", "--sizes", "4,0", "--seeds", "0:3", "--checks", "degeneracy",
+             "--out", str(prefix)],
+            capsys,
+        )
+        assert code == EXIT_ERROR and "3 of 3 seeds" in err
+        recs = [json.loads(x) for x in (tmp_path / "sweep.ndjson").read_text().splitlines()]
+        assert len(recs) == 3 and all(r["error"] for r in recs)
+        with open(tmp_path / "sweep.csv") as fh:
+            assert ["degeneracy", "0", "0", ""] in list(csv.reader(fh))
 
     def test_unknown_check_rejected(self, tmp_path, capsys):
         code, _, err = run(

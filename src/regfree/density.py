@@ -89,10 +89,12 @@ def max_density_subgraph(g: Graph) -> DensityReport:
         cand = sorted(v for v in side if v < n)
         e = _induced_edge_count(g, cand)
         d = Fraction(e, len(cand))
-        assert d > best, "flow certificate must strictly improve"
+        if d <= best:
+            raise RuntimeError("flow certificate must strictly improve")
         best, best_set = d, cand
     e = _induced_edge_count(g, best_set)
-    assert Fraction(e, len(best_set)) == best
+    if Fraction(e, len(best_set)) != best:
+        raise ArithmeticError("best set's density differs from the optimum")
     return DensityReport(tuple(best_set), e, best)
 
 

@@ -136,7 +136,8 @@ def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
             mask &= ~(1 << v)
     vs = tuple(chosen)
     weight = sum((weights[v] for v in vs), Fraction(0))
-    assert int(weight * denom) == target
+    if int(weight * denom) != target:
+        raise ArithmeticError("extracted set misses the optimal weight")
     return vs, weight
 
 
@@ -174,8 +175,10 @@ def chi_f_exact(
                 value=value,
             )
             dual = DualWitness(weights=w, value=sum(w.values(), Fraction(0)))
-            assert dual.value == value, "strong duality must be exact"
-            assert primal.validate(g)
+            if dual.value != value:
+                raise ArithmeticError("strong duality must be exact")
+            if not primal.validate(g):
+                raise RuntimeError("primal coloring failed re-validation")
             return value, primal, dual
         if len(columns) >= column_limit:
             total = sum(w.values(), Fraction(0))

@@ -160,6 +160,8 @@ class LayeredGraph:
         self.layer_sizes = tuple(layer_sizes)
         if sum(self.layer_sizes) != graph.n:
             raise ParamError("layer sizes do not sum to vertex count")
+        if any(a < b for a, b in zip(self.layer_sizes, self.layer_sizes[1:])):
+            raise ParamError("layer sizes must not increase: |B_1| >= ... >= |B_C|")
         self.graph = graph
         starts = [0]
         for s in self.layer_sizes:

@@ -97,7 +97,10 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> tuple["Graph", Optional[list[int]]]:
         doc = json.loads(text)
-        g = Graph(doc["n"], [(u, v) for u, v in doc["edges"]])
+        edges = [(u, v) for u, v in doc["edges"]]
+        g = Graph(doc["n"], edges)
+        if g.num_edges != len(edges):
+            raise GraphError("duplicate edges in input")
         layers = doc.get("layers")
         if layers is not None:
             layers = [int(s) for s in layers]

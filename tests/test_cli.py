@@ -90,6 +90,12 @@ class TestCertify:
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == "certified"
 
+    def test_increasing_layers_rejected(self, tmp_path, capsys):
+        path = tmp_path / "up.json"
+        path.write_text(Graph(6, [(0, 2)]).to_json(layers=[2, 4]))
+        code, _, err = run(["certify", "--k", "4", "--in", str(path)], capsys)
+        assert code == EXIT_ERROR and "increase" in err
+
     def test_needs_layers(self, tmp_path, capsys):
         path = tmp_path / "plain.json"
         path.write_text(Graph(4, [(0, 1)]).to_json())

@@ -146,6 +146,14 @@ class TestBuild:
         with pytest.raises(ParamError):
             LayeredGraph(g, [4, 3])
 
+    def test_increasing_ladder_rejected(self):
+        with pytest.raises(ParamError):
+            build(explicit_params([2, 8], seed=0))
+        g = build(explicit_params([4, 2], seed=0)).graph
+        with pytest.raises(ParamError):
+            LayeredGraph(g, [2, 4])
+        assert build(explicit_params([4, 4], seed=0)).layer_sizes == (4, 4)
+
 
 class TestBipartiteVariant:
     def test_keeps_only_layer1_edges(self):

@@ -67,6 +67,12 @@ class TestGraphBasics:
         g2, layers = Graph.from_json(text)
         assert layers == [4, 2] and g2 == g
 
+    def test_json_duplicate_edges_rejected(self):
+        for edges in ([[0, 1], [0, 1]], [[0, 1], [1, 0]]):
+            text = json.dumps({"n": 3, "layers": None, "edges": edges})
+            with pytest.raises(GraphError):
+                Graph.from_json(text)
+
     def test_json_bad_layers(self):
         g = Graph(6, [])
         with pytest.raises(GraphError):

@@ -283,7 +283,7 @@ class SweepCheck(NamedTuple):
     inconclusive: Callable[[dict], bool] = lambda rec: False
 
 
-def _degeneracy_check(lg: LayeredGraph, seed: int) -> dict:
+def _run_degeneracy(lg: LayeredGraph, seed: int) -> dict:
     d, _ = degeneracy(lg.graph)
     return {"value": d, "within_bound": d <= lg.num_layers - 1}
 
@@ -308,7 +308,7 @@ def _certify_check(certificate) -> SweepCheck:
     )
 
 
-def _chif_lb_check(lg: LayeredGraph, seed: int) -> dict:
+def _run_chif_lb(lg: LayeredGraph, seed: int) -> dict:
     w = paper_weighting(lg)
     return {
         "value": frac_str(chi_f_lower_bound(lg.graph, w)),
@@ -316,7 +316,7 @@ def _chif_lb_check(lg: LayeredGraph, seed: int) -> dict:
     }
 
 
-def _chif_exact_check(lg: LayeredGraph, seed: int) -> dict:
+def _run_chif_exact(lg: LayeredGraph, seed: int) -> dict:
     try:
         value, _, _ = chi_f_exact(lg.graph)
     except ColumnLimitExceeded as exc:
@@ -324,7 +324,7 @@ def _chif_exact_check(lg: LayeredGraph, seed: int) -> dict:
     return {"value": frac_str(value)}
 
 
-def _subsample_check(lg: LayeredGraph, seed: int) -> dict:
+def _run_subsample(lg: LayeredGraph, seed: int) -> dict:
     d, ordering = degeneracy(lg.graph)
     params = SubsampleParams(p=Fraction(1, 4), degen_threshold=max(d, 1), seed=seed)
     res = harris_subsample(lg.graph, ordering, params, paper_weighting(lg))
@@ -334,18 +334,18 @@ def _subsample_check(lg: LayeredGraph, seed: int) -> dict:
 # In the order the checks run, which is also the key order of a record's
 # "checks"; ALL_CHECKS is the documented order of the CSV summary.
 SWEEP_CHECKS = {
-    "degeneracy": SweepCheck(_degeneracy_check, lambda rec: rec["within_bound"]),
+    "degeneracy": SweepCheck(_run_degeneracy, lambda rec: rec["within_bound"]),
     "detect4": _detect_check(4, lambda lg: lg.graph),
     "detect3": _detect_check(3, bipartite_variant),
     "certify4": _certify_check(prefix_certificate_4reg),
     "certify3": _certify_check(prefix_certificate_3reg_bipartite),
-    "chif_lb": SweepCheck(_chif_lb_check, lambda rec: True),
+    "chif_lb": SweepCheck(_run_chif_lb, lambda rec: True),
     "chif_exact": SweepCheck(
-        _chif_exact_check,
+        _run_chif_exact,
         lambda rec: rec["value"] is not None,
         lambda rec: rec["value"] is None,  # column limit hit
     ),
-    "subsample": SweepCheck(_subsample_check, lambda rec: True),
+    "subsample": SweepCheck(_run_subsample, lambda rec: True),
 }
 
 

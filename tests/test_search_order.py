@@ -1,0 +1,126 @@
+"""Pinned exploration order of the three exact searches.
+
+The k-regular detector, Dinic max-flow and the MWIS pricer are exact, but
+the witness and node count, the residual network and the tie-broken set
+they return all depend on the order in which they explore.  Those values
+reach the CLI output and the benchmark's work counters, so a rewrite of any
+of the searches must reproduce them exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from regfree import flow, fractional
+from regfree.construction import bipartite_variant, build, explicit_params
+from regfree.density import max_density_subgraph
+from regfree.graph import Graph, connected_components, induced_subgraph, k_core
+from regfree.regular import FOUND, NOT_FOUND, find_k_regular, verify_witness
+
+
+def _bipartite(sizes, seed: int) -> Graph:
+    return bipartite_variant(build(explicit_params(sizes, seed=seed)))
+
+
+def _disjoint_union(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)])
+
+
+def _core_components(g: Graph, k: int) -> int:
+    core, _ = induced_subgraph(g, k_core(g, k))
+    return len(connected_components(core))
+
+
+class TestDetectorOrder:
+    # each bipartite variant has a nonempty, connected 3-core; the first
+    # has no 3-regular subgraph, so the search must exhaust it before
+    # moving on to the second component
+    NO_CUBIC = _bipartite([24, 8, 4, 2], 4)
+
+    def test_not_found_over_two_components(self):
+        g = _disjoint_union(self.NO_CUBIC, _bipartite([24, 8, 4, 2], 5))
+        assert _core_components(g, 3) == 2
+        res = find_k_regular(g, 3)
+        assert (res.outcome, res.nodes_expanded) == (NOT_FOUND, 20)
+
+    def test_found_in_second_component(self):
+        g = _disjoint_union(self.NO_CUBIC, _bipartite([32, 8, 4, 2], 0))
+        assert _core_components(g, 3) == 2
+        res = find_k_regular(g, 3)
+        assert (res.outcome, res.nodes_expanded) == (FOUND, 71)
+        assert verify_witness(g, res.witness)
+        assert res.witness.vertices == (
+            40, 47, 51, 61, 64, 65, 70, 71, 78, 80, 82, 83,
+        )
+        assert res.witness.edges == (
+            (40, 71), (40, 78), (40, 83), (47, 70), (47, 80), (47, 82),
+            (51, 71), (51, 80), (51, 82), (61, 70), (61, 78), (61, 83),
+            (64, 71), (64, 80), (64, 82), (65, 70), (65, 78), (65, 83),
+        )
+
+
+class TestDinicOrder:
+    """Prefixes of ladder 32,8,2 (seed 0) where each max-flow runs several
+    BFS phases.  The source side of a minimum cut does not depend on the
+    augmenting order, but the residual capacities do, so those are pinned
+    too, as a digest per Goldberg round."""
+
+    LG = build(explicit_params([32, 8, 2], seed=0))
+    PINNED = {
+        # event index i -> (max-density subgraph, residual digest per round)
+        3: (
+            (0, 1, 3, 5, 7, 10, 12, 15, 17, 19, 24, 25, 26, 28, 33, 39),
+            ["127345fedc266f3d", "7b90657917ba18ec", "25af70da9c119bff"],
+        ),
+        4: (
+            (
+                0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 15, 16, 17, 18, 19, 21,
+                22, 23, 24, 25, 26, 28, 30, 31, 32, 33, 35, 37, 39, 40, 41,
+            ),
+            ["3b5b462033b81efe", "5ba498a3699ce9d3"],
+        ),
+    }
+
+    def test_prefix_subgraphs_and_residuals(self, monkeypatch):
+        digests = []
+        max_flow = flow.FlowNetwork.max_flow
+
+        def recording(net, s, t):
+            value = max_flow(net, s, t)
+            digests.append(hashlib.sha256(repr(net.cap).encode()).hexdigest()[:16])
+            return value
+
+        monkeypatch.setattr(flow.FlowNetwork, "max_flow", recording)
+        for i, (subgraph, rounds) in self.PINNED.items():
+            digests.clear()
+            prefix, _ = induced_subgraph(
+                self.LG.graph, range(self.LG.layer_starts[i - 1])
+            )
+            assert max_density_subgraph(prefix).subgraph == subgraph
+            assert digests == rounds
+
+
+class TestMwisOrder:
+    def test_sets_priced_on_lp_duals(self, monkeypatch):
+        """Every set mwis returns while chi_f_exact prices ladder 16,4
+        (seed 1).  After the first round most dual weights are zero, so the
+        lexicographic tie-break decides which optimal set comes back."""
+        calls = []
+        mwis = fractional.mwis
+
+        def recording(g, w):
+            found = mwis(g, w)
+            zeros = sum(1 for x in w.values() if x == 0)
+            calls.append((zeros, found[0]))
+            return found
+
+        monkeypatch.setattr(fractional, "mwis", recording)
+        fractional.chi_f_exact(build(explicit_params([16, 4], seed=1)).graph)
+        assert calls == [
+            (0, tuple(range(16))),
+            (15, (0, 4, 6, 7, 10, 16, 18, 19)),
+            (17, (1, 2, 3, 9, 11, 13, 15, 16, 17)),
+            (17, (1, 3, 5, 8, 12, 14, 15, 17, 18)),
+            (16, (2, 5, 8, 9, 11, 12, 13, 14, 17, 19)),
+            (18, (0,)),
+        ]

@@ -26,45 +26,59 @@ class FlowNetwork:
         self.to.append(u)
         self.cap.append(rcap)
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
+    def _levels(self, s: int) -> list[int]:
+        """BFS distance from s over arcs with residual capacity; -1 if
+        unreachable."""
+        level = [-1] * self.n
+        level[s] = 0
         q = deque([s])
         while q:
             u = q.popleft()
             for a in self.head[u]:
                 v = self.to[a]
-                if self.cap[a] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
+                if self.cap[a] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
                     q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self.it[u] < len(self.head[u]):
-            a = self.head[u][self.it[u]]
-            v = self.to[a]
-            if self.cap[a] > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[a]))
-                if d > 0:
-                    self.cap[a] -= d
-                    self.cap[a ^ 1] += d
-                    return d
-            self.it[u] += 1
-        return 0
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
+        """Dinic: per BFS phase, walk augmenting paths from s along level
+        arcs.  Each node's current-arc pointer only advances past an arc
+        that led to a dead end, so arcs are tried in head order."""
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
-        inf = 1 + sum(self.cap[a] for a in self.head[s] if a % 2 == 0)
-        while self._bfs(s, t):
-            self.it = [0] * self.n
+        while True:
+            level = self._levels(s)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            path: list[int] = []  # arcs from s to u
+            u = s
             while True:
-                f = self._dfs(s, t, inf)
-                if f == 0:
+                if u == t:
+                    d = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= d
+                        cap[a ^ 1] += d
+                    flow += d
+                    path.clear()
+                    u = s
+                    continue
+                arcs, i = head[u], it[u]
+                while i < len(arcs):
+                    a = arcs[i]
+                    if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                        break
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(a)
+                    u = to[a]
+                elif path:  # dead end: retreat one arc
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                flow += f
-        return flow
 
     def min_cut_source_side(self, s: int) -> set[int]:
         """After max_flow: nodes reachable from s in the residual network."""

@@ -83,35 +83,32 @@ def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
     closed = [g.adj_mask[v] | (1 << v) for v in range(n)]
     order = sorted(range(n), key=lambda v: (-iw[v], v))
 
+    def mask_weight(m: int) -> int:
+        s = 0
+        while m:
+            low = m & -m
+            s += iw[low.bit_length() - 1]
+            m ^= low
+        return s
+
     def best_weight(mask: int, forced: int) -> int:
         """Max total iw over independent sets inside mask; forced is the
         weight already committed outside mask."""
         best = 0
-
-        def rec(m: int, cur: int, rest: int):
-            nonlocal best
+        # (candidates, weight taken, weight of candidates); "take v" is
+        # pushed above "drop v", so its whole subtree is searched first
+        stack = [(mask, 0, mask_weight(mask))]
+        while stack:
+            m, cur, rest = stack.pop()
             if cur + rest <= best:
-                return
+                continue
             v = next((u for u in order if (m >> u) & 1), None)
             if v is None:
-                if cur > best:
-                    best = cur
-                return
-            rec(m & ~closed[v], cur + iw[v], rest - _mask_weight_below(m, v))
-            rec(m & ~(1 << v), cur, rest - iw[v])
-
-        def _mask_weight_below(m: int, v: int) -> int:
-            # weight removed from the candidate pool when taking v:
-            # v itself plus its masked neighbors
-            gone = m & closed[v]
-            s = 0
-            while gone:
-                low = gone & -gone
-                s += iw[low.bit_length() - 1]
-                gone ^= low
-            return s
-
-        rec(mask, 0, sum(iw[v] for v in range(n) if (mask >> v) & 1))
+                best = cur  # rest == 0 here, so cur > best
+                continue
+            stack.append((m & ~(1 << v), cur, rest - iw[v]))
+            taken = m & closed[v]
+            stack.append((m & ~taken, cur + iw[v], rest - mask_weight(taken)))
         return best + forced
 
     full = (1 << n) - 1

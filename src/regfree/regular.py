@@ -14,7 +14,6 @@ layered construction instantly (its 4-core is empty).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,22 +59,6 @@ def verify_witness(g: Graph, w: RegularWitness) -> bool:
     return all(d == w.k for d in deg.values())
 
 
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
 # vertex states
 _UNDEC, _IN, _OUT = 0, 1, -1
 
@@ -83,10 +66,9 @@ _UNDEC, _IN, _OUT = 0, 1, -1
 class _ComponentSearch:
     """DFS with propagation on one connected component (local indices)."""
 
-    def __init__(self, g: Graph, k: int, budget: _Budget):
+    def __init__(self, g: Graph, k: int):
         self.g = g
         self.k = k
-        self.budget = budget
         n = g.n
         self.inc: list[list[int]] = [[] for _ in range(n)]  # vertex -> edge ids
         for eid, (u, v) in enumerate(g.edges):
@@ -211,26 +193,31 @@ class _ComponentSearch:
                         return eid
         return None
 
-    def search(self) -> Optional[RegularWitness]:
-        if not self.budget.spend():
-            raise _BudgetExhausted
-        w = self._witness_here()
-        if w is not None:
-            return w
-        eid = self._pick_branch_edge()
-        if eid is None:
-            return None
-        u, v = self.g.edges[eid]
-        for choice in (1, -1):
-            mark = len(self.trail)
-            self._set_edge(eid, choice)
-            ok = self._propagate([u, v])
-            if ok:
-                w = self.search()
-                if w is not None:
-                    return w
-            self._undo_to(mark)
-        return None
+    def search(self, budget: int) -> tuple[Optional[RegularWitness], int]:
+        """(witness or None, nodes expanded).  Stops after budget + 1 nodes;
+        the caller reads a count above budget as exhaustion."""
+        pending: list[tuple[int, int, int]] = []  # (edge, trail mark, choice)
+        nodes = 0
+        while True:
+            nodes += 1
+            if nodes > budget:
+                return None, nodes
+            w = self._witness_here()
+            if w is not None:
+                return w, nodes
+            eid = self._pick_branch_edge()
+            if eid is not None:
+                mark = len(self.trail)
+                pending.append((eid, mark, -1))
+                pending.append((eid, mark, 1))  # chosen is tried first
+            while True:
+                if not pending:
+                    return None, nodes
+                eid, mark, choice = pending.pop()
+                self._undo_to(mark)
+                self._set_edge(eid, choice)
+                if self._propagate(list(self.g.edges[eid])):
+                    break
 
 
 def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -247,19 +234,14 @@ def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResu
     core = k_core(g, k)
     if not core:
         return SearchResult(NOT_FOUND, None, 0)
-    # DFS depth is bounded by the edge count
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.num_edges + 1000))
     core_g, core_map = induced_subgraph(g, core)
-    b = _Budget(budget)
-    exhausted = False
+    nodes = 0
     for comp in connected_components(core_g):
         comp_g, comp_map = induced_subgraph(core_g, comp)
-        searcher = _ComponentSearch(comp_g, k, b)
-        try:
-            w = searcher.search()
-        except _BudgetExhausted:
-            exhausted = True
-            break
+        w, used = _ComponentSearch(comp_g, k).search(budget - nodes)
+        nodes += used
+        if nodes > budget:
+            return SearchResult(BUDGET_EXCEEDED, None, nodes)
         if w is not None:
             to_orig = [core_map[comp_map[i]] for i in range(comp_g.n)]
             vs = tuple(sorted(to_orig[v] for v in w.vertices))
@@ -269,7 +251,5 @@ def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResu
                     for u, v in w.edges
                 )
             )
-            return SearchResult(FOUND, RegularWitness(vs, es, k), b.used)
-    if exhausted:
-        return SearchResult(BUDGET_EXCEEDED, None, b.used)
-    return SearchResult(NOT_FOUND, None, b.used)
+            return SearchResult(FOUND, RegularWitness(vs, es, k), nodes)
+    return SearchResult(NOT_FOUND, None, nodes)

@@ -3,8 +3,10 @@ oracles kept deliberately independent of the library's algorithms."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 from regfree.graph import Graph
@@ -45,6 +47,23 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def random_tree(rng: random.Random, n: int) -> Graph:
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return Graph(n, edges)
+
+
+@contextlib.contextmanager
+def shallow_stack(headroom: int = 40):
+    """Lower the recursion limit to the current stack depth plus headroom,
+    so a search whose depth grows with its input raises RecursionError."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- brute-force oracles ---------------------------------------------------

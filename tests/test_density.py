@@ -23,6 +23,7 @@ from helpers import (
     petersen_graph,
     random_graph,
     random_tree,
+    shallow_stack,
 )
 
 
@@ -45,6 +46,11 @@ class TestMaxDensity:
 
     def test_path(self):
         assert max_density_subgraph(path_graph(6)).density == Fraction(5, 6)
+
+    def test_long_path_needs_no_deep_stack(self):
+        with shallow_stack():
+            rep = max_density_subgraph(path_graph(200))
+        assert rep.density == Fraction(199, 200)
 
     def test_k5_plus_pendant(self):
         g = Graph(6, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5)])

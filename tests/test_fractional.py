@@ -24,6 +24,7 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_graph,
+    shallow_stack,
 )
 
 
@@ -69,6 +70,12 @@ class TestMwis:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             mwis(path_graph(2), {0: Fraction(-1), 1: Fraction(0)})
+
+    def test_edgeless_needs_no_deep_stack(self):
+        g = Graph(120, [])
+        with shallow_stack():
+            vs, best = mwis(g, unit_weights(g))
+        assert best == 120 and vs == tuple(range(120))
 
     def test_matches_brute_force_with_lex(self):
         rng = random.Random(123)

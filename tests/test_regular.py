@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from helpers import (
     petersen_graph,
     random_graph,
     random_tree,
+    shallow_stack,
 )
 
 
@@ -65,6 +67,14 @@ class TestNamedGraphs:
         assert res.outcome == FOUND
         assert verify_witness(g, res.witness)
         assert len(res.witness.vertices) == 3
+
+    def test_leaves_recursion_limit_alone(self):
+        g = cycle_graph(3000)
+        with shallow_stack():
+            limit = sys.getrecursionlimit()
+            res = find_k_regular(g, 2)
+            assert sys.getrecursionlimit() == limit
+        assert res.outcome == FOUND and verify_witness(g, res.witness)
 
 
 class TestAgainstBruteForce:

@@ -95,11 +95,13 @@ def _replay_args(n, log_n, dps: Optional[int]):
     """log n and the working precision from a replay's public arguments."""
     if (n is None) == (log_n is None):
         raise DomainError("pass exactly one of n, log_n")
+    dps = dps or default_dps()
     if log_n is None:
-        log_n = mp.log(mp.mpf(n))
+        with mp.workdps(2 * dps):  # the precision of the re-check
+            log_n = mp.log(mp.mpf(n))
     if mp.mpf(log_n) <= 1:
         raise DomainError("need log log n > 0")
-    return log_n, dps or default_dps()
+    return log_n, dps
 
 
 def _with_reverification(build, verdicts, dps: int):

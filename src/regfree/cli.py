@@ -235,7 +235,9 @@ def _chain_doc(rep) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    log_n = mp.log(bounds_mod.parse_real(args.n))
+    # read n at the re-check's precision; each replay pass rounds log n
+    with mp.workdps(2 * bounds_mod.default_dps()):
+        log_n = mp.log(bounds_mod.parse_real(args.n))
     if args.which == "reg":
         rep = bounds_mod.reg_chain(log_n=log_n, i=args.i, x=args.x)
         _emit_json(_chain_doc(rep), args.out)

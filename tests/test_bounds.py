@@ -134,6 +134,12 @@ class TestPrecisionContract:
         rep = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=30)
         assert rep.dps == 30
 
+    def test_integer_n_read_at_recheck_precision(self):
+        n = 10**10000
+        with mp.workdps(100):
+            log_n = mp.log(n)
+        assert reg_chain(n=n, i=2, x=10) == reg_chain(log_n=log_n, i=2, x=10)
+
     def test_verdicts_stable_at_higher_dps(self):
         a = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=30)
         b = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=120)

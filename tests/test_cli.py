@@ -1,9 +1,10 @@
 import csv
 import json
 
+import mpmath as mp
 import pytest
 
-from regfree import cli
+from regfree import bounds, cli
 from regfree.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -174,6 +175,15 @@ class TestBoundsCmd:
     def test_union(self, capsys):
         code, out, _ = run(["bounds", "union", "--n", "e^e^40"], capsys)
         assert code == EXIT_OK and json.loads(out)["all_hold"]
+
+    def test_n_read_at_recheck_precision(self, capsys):
+        _, out, _ = run(
+            ["bounds", "reg", "--n", "e^e^10", "--i", "2", "--x", "10"], capsys
+        )
+        with mp.workdps(100):
+            log_n = mp.exp(10)
+        rep = bounds.reg_chain(log_n=log_n, i=2, x=10)
+        assert json.loads(out) == json.loads(json.dumps(cli._chain_doc(rep)))
 
     def test_failing_chain_is_inconclusive(self, capsys):
         code, out, _ = run(

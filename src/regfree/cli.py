@@ -360,6 +360,7 @@ def run_checks(sizes, seed: int, checks) -> dict:
 
 def cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
+    explicit_params(sizes)  # a bad ladder fails every seed: reject it once
     lo, hi = (int(x) for x in args.seeds.split(":"))
     checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
     for c in checks:

@@ -35,6 +35,16 @@ class EmptyLayers(ParamError):
     pass
 
 
+def check_ladder(sizes) -> None:
+    """Raise ParamError unless |B_1| >= ... >= |B_C| >= 1 with C >= 1."""
+    if not sizes:
+        raise EmptyLayers("need at least one layer")
+    if any(s < 1 for s in sizes):
+        raise ParamError("layer sizes must be positive")
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise ParamError("layer sizes must not increase: |B_1| >= ... >= |B_C|")
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     n: int
@@ -44,10 +54,7 @@ class ConstructionParams:
     seed: int
 
     def __post_init__(self):
-        if not self.layer_sizes:
-            raise EmptyLayers("need at least one layer")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ParamError("layer sizes must be positive")
+        check_ladder(self.layer_sizes)
         if self.num_layers != len(self.layer_sizes):
             raise ParamError("num_layers inconsistent with layer_sizes")
 
@@ -160,8 +167,7 @@ class LayeredGraph:
         self.layer_sizes = tuple(layer_sizes)
         if sum(self.layer_sizes) != graph.n:
             raise ParamError("layer sizes do not sum to vertex count")
-        if any(a < b for a, b in zip(self.layer_sizes, self.layer_sizes[1:])):
-            raise ParamError("layer sizes must not increase: |B_1| >= ... >= |B_C|")
+        check_ladder(self.layer_sizes)
         self.graph = graph
         starts = [0]
         for s in self.layer_sizes:

@@ -250,11 +250,14 @@ class TestSweep:
         with open(tmp_path / "sweep.csv") as fh:
             assert ["chif_exact", "0", "2", "0.0"] in list(csv.reader(fh))
 
-    def test_seed_errors_exit_nonzero(self, tmp_path, capsys):
-        # a zero-size layer makes every seed raise inside run_checks
+    def test_seed_errors_exit_nonzero(self, tmp_path, capsys, monkeypatch):
+        def fail(g):
+            raise RuntimeError("degeneracy failed")
+
+        monkeypatch.setattr(cli, "degeneracy", fail)
         prefix = tmp_path / "sweep"
         code, out, err = run(
-            ["sweep", "--sizes", "4,0", "--seeds", "0:3", "--checks", "degeneracy",
+            ["sweep", "--sizes", "4,2", "--seeds", "0:3", "--checks", "degeneracy",
              "--out", str(prefix)],
             capsys,
         )
@@ -263,6 +266,20 @@ class TestSweep:
         assert len(recs) == 3 and all(r["error"] for r in recs)
         with open(tmp_path / "sweep.csv") as fh:
             assert ["degeneracy", "0", "0", ""] in list(csv.reader(fh))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [("4,0", "must be positive"), ("2,4", "must not increase")],
+    )
+    def test_bad_ladder_rejected_once(self, sizes, message, tmp_path, capsys):
+        prefix = tmp_path / "sweep"
+        code, out, err = run(
+            ["sweep", "--sizes", sizes, "--seeds", "0:3", "--out", str(prefix)],
+            capsys,
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err.count("\n") == 1 and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_check_rejected(self, tmp_path, capsys):
         code, _, err = run(

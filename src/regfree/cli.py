@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: construct, detect-regular, certify, chif, degeneracy,
-subsample, bounds (reg/frac/union), sweep.  All rationals are serialized
-as "a/b" strings in lowest terms; huge reals as decimal strings of their
-natural logs.  Exit codes: 0 success, 2 inconclusive outcome present,
-1 error; sweep writes every record first and exits 1 if any seed raised.
+subsample, bounds (reg/frac/union), sweep.  construct takes explicit
+layer sizes only; the paper's asymptotic sizing lives in log space, in
+bounds.  All rationals are serialized as "a/b" strings in lowest terms;
+huge reals as decimal strings of their natural logs.  Exit codes: 0
+success, 2 inconclusive outcome present, 1 error, usage errors included;
+sweep writes every record first and exits 1 if any seed raised.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .construction import (
     build,
     bipartite_variant,
     explicit_params,
-    paper_params,
     paper_weighting,
     total_weight,
 )
@@ -73,15 +74,8 @@ def _emit_json(doc, out_path=None) -> None:
 
 
 def cmd_construct(args) -> int:
-    if (args.sizes is None) == (args.paper_n is None):
-        raise ValueError("pass exactly one of --sizes, --paper-n")
-    if args.sizes is not None:
-        sizes = [int(s) for s in args.sizes.split(",")]
-        params = explicit_params(sizes, seed=args.seed)
-    else:
-        log_n = mp.log(bounds_mod.parse_real(args.paper_n))
-        params = paper_params(log_n=log_n, seed=args.seed)
-    lg = build(params)
+    sizes = [int(s) for s in args.sizes.split(",")]
+    lg = build(explicit_params(sizes, seed=args.seed))
     lg.check_invariants()
     _emit(lg.graph.to_json(layers=lg.layer_sizes), args.out)
     return EXIT_OK
@@ -411,8 +405,9 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a layered random graph")
-    p.add_argument("--sizes", help="comma-separated layer sizes, e.g. 8,4,2")
-    p.add_argument("--paper-n", help="asymptotic sizing, e.g. e^e^10")
+    p.add_argument(
+        "--sizes", required=True, help="comma-separated layer sizes, e.g. 8,4,2"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
@@ -478,7 +473,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "inconclusive" here;
+        # --help and --version exit 0
+        return EXIT_ERROR if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except Exception as exc:

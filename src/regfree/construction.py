@@ -5,21 +5,18 @@ Each vertex of layer i picks one uniform neighbor in every later layer j,
 so e(G) = sum |B_i| * (C - i) deterministically; the randomness only moves
 the edges around.  Layer sizes shrink geometrically.
 
-Two parameter entry points:
-  * explicit_params: the desk-scale workhorse, arbitrary size ladders.
-  * paper_params / paper_regime: the asymptotic sizing |B_i| = n^(1-20^i*eps)
-    with eps = 1/sqrt(log n) and C = floor(log log n / 10).  Any n with
-    C >= 1 already has layer sizes with thousands of digits, so paper_params
-    materializes exact integer sizes only below a digit cap; regime is the
-    one log-space view, shared with the inequality replay in bounds.
+explicit_params takes an arbitrary non-increasing ladder of sizes; build
+draws the graph from it.  The paper's asymptotic sizing
+|B_i| = n^(1-20^i*eps) with eps = 1/sqrt(log n) and C = floor(log log n / 10)
+is only usable in log space: any n with C >= 1 already has layer sizes
+with thousands of digits.  regime is that log-space view, shared with the
+inequality replay in bounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 
@@ -47,16 +44,11 @@ def check_ladder(sizes) -> None:
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    n: int
-    epsilon: Optional[float]  # None for explicit (desk-scale) params
-    num_layers: int
     layer_sizes: tuple[int, ...]
     seed: int
 
     def __post_init__(self):
         check_ladder(self.layer_sizes)
-        if self.num_layers != len(self.layer_sizes):
-            raise ParamError("num_layers inconsistent with layer_sizes")
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ class PaperRegime:
 def regime(log_n) -> PaperRegime:
     """epsilon = 1/sqrt(log n), C = floor(log log n / 10) and log|B_i|, at the
     caller's working precision (the inequality replay re-runs it at twice the
-    digits).  C may be < 1 here; paper_regime rejects that."""
+    digits).  C may be < 1 here; each replay checks the range it needs."""
     log_n = mp.mpf(log_n)
     if log_n <= 1:
         raise ParamError("need log log n > 0, i.e. n > e")
@@ -95,67 +87,9 @@ def regime(log_n) -> PaperRegime:
     return PaperRegime(log_n, eps, c_real, c)
 
 
-def paper_regime(log_n, dps: int = 50) -> PaperRegime:
-    """The regime evaluated at dps digits; ParamError below it (C < 1)."""
-    with mp.workdps(dps):
-        reg = regime(log_n)
-    if reg.num_layers < 1:
-        raise ParamError(
-            f"C = floor(log log n / 10) = {reg.num_layers} < 1; n is below the "
-            "asymptotic regime, use explicit_params"
-        )
-    return reg
-
-
-def paper_params(
-    n: Optional[int] = None,
-    *,
-    log_n=None,
-    seed: int = 0,
-    max_digits: int = 100_000,
-) -> ConstructionParams:
-    """Exact-integer parameterization; |B_i| = max(1, round(n^(1-20^(i+1)*eps)))
-    for 0-based i, rounding half to even.
-
-    Raises ParamError when C < 1 or when a layer size would exceed
-    max_digits decimal digits (then only paper_regime is usable).
-    """
-    if (n is None) == (log_n is None):
-        raise ParamError("pass exactly one of n, log_n")
-    if n is not None:
-        if n < 16:
-            raise ParamError("need n >= 16 so that log log n > 0")
-        log_n = mp.log(n)
-    reg = paper_regime(log_n)
-    digits = int(max(ls for ls in reg.log_layer_sizes) / math.log(10)) + 1
-    if digits > max_digits:
-        raise ParamError(
-            f"layer sizes need ~{digits} digits (> max_digits={max_digits}); "
-            "use paper_regime for log-space access"
-        )
-    with mp.workdps(max(digits + 20, 50)):
-        logs = regime(log_n).log_layer_sizes
-        sizes = [max(1, int(mp.nint(mp.exp(ls)))) for ls in logs]
-    n_nominal = n if n is not None else sum(sizes) + 1
-    return ConstructionParams(
-        n=n_nominal,
-        epsilon=float(reg.epsilon),
-        num_layers=reg.num_layers,
-        layer_sizes=tuple(sizes),
-        seed=seed,
-    )
-
-
 def explicit_params(layer_sizes, seed: int = 0) -> ConstructionParams:
-    """Desk-scale params: the given sizes verbatim, n = their sum."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    return ConstructionParams(
-        n=sum(sizes),
-        epsilon=None,
-        num_layers=len(sizes),
-        layer_sizes=sizes,
-        seed=seed,
-    )
+    """The given sizes verbatim; n is their sum."""
+    return ConstructionParams(tuple(int(s) for s in layer_sizes), seed)
 
 
 class LayeredGraph:

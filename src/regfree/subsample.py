@@ -11,7 +11,6 @@ not asserted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,16 +36,6 @@ class SubsampleResult:
     y: tuple[int, ...]
     x: tuple[int, ...]
     retained_weight: Fraction
-
-
-def paper_subsample_p(log_n: float) -> float:
-    """p = (log log n)^(-3/4), the asymptotic choice."""
-    return math.log(log_n) ** -0.75
-
-
-def paper_subsample_threshold(log_n: float, cprime: float = 1.0) -> int:
-    """floor(2 * C' * (log log n)^(1/4)), the asymptotic back-degree cap."""
-    return int(2 * cprime * math.log(log_n) ** 0.25)
 
 
 def harris_subsample(

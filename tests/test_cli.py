@@ -47,8 +47,30 @@ class TestConstruct:
         assert code == EXIT_ERROR and "error:" in err
 
     def test_paper_n_below_regime_errors(self, capsys):
-        code, _, err = run(["construct", "--paper-n", "1000"], capsys)
+        # the asymptotic sizing is log-space only; construct has no --paper-n
+        for n in ("1000", "e^e^10"):
+            code, _, err = run(["construct", "--paper-n", n], capsys)
+            assert code == EXIT_ERROR and "error:" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--k", "5", "--in", "g.json"],
+            ["detect-regular", "--k", "4"],
+            ["bogus"],
+        ],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own code 2 would read as "inconclusive"
+        code, _, err = run(argv, capsys)
         assert code == EXIT_ERROR and "error:" in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        code, out, _ = run([flag], capsys)
+        assert code == EXIT_OK and out
 
 
 class TestDetectRegular:

@@ -1,16 +1,14 @@
 import pytest
 
 from regfree.construction import (
-    ConstructionParams,
     EmptyLayers,
     LayeredGraph,
     ParamError,
     bipartite_variant,
     build,
     explicit_params,
-    paper_params,
-    paper_regime,
     paper_weighting,
+    regime,
     total_weight,
 )
 from regfree.graph import degeneracy
@@ -32,31 +30,23 @@ class TestParams:
         with pytest.raises(ParamError):
             explicit_params([4, 0])
 
-    def test_inconsistent_count_rejected(self):
-        with pytest.raises(ParamError):
-            ConstructionParams(
-                n=6, epsilon=None, num_layers=3, layer_sizes=(4, 2), seed=0
-            )
-
-    def test_explicit_n_is_sum(self):
-        assert explicit_params(DESK).n == 340
-
 
 class TestPaperRegime:
     def test_rejects_small_n(self):
         with pytest.raises(ParamError):
-            paper_regime(mp.mpf("0.5"))
-        with pytest.raises(ParamError):
-            paper_regime(mp.exp(5))  # C = 0
+            regime(mp.mpf("0.5"))
+        with mp.workdps(50):
+            assert regime(mp.exp(5)).num_layers == 0  # below the regime
 
     def test_e_to_e40(self):
-        r = paper_regime(mp.exp(40))
-        assert r.num_layers == 4
-        assert mp.almosteq(r.epsilon, mp.exp(-20))
-        # log|B_i| = (1 - 20^i eps) e^40
-        for i, lb in enumerate(r.log_layer_sizes, start=1):
-            expect = (1 - mp.power(20, i) * mp.exp(-20)) * mp.exp(40)
-            assert mp.almosteq(lb, expect)
+        with mp.workdps(50):
+            r = regime(mp.exp(40))
+            assert r.num_layers == 4
+            assert mp.almosteq(r.epsilon, mp.exp(-20))
+            # log|B_i| = (1 - 20^i eps) e^40
+            for i, lb in enumerate(r.log_layer_sizes, start=1):
+                expect = (1 - mp.power(20, i) * mp.exp(-20)) * mp.exp(40)
+                assert mp.almosteq(lb, expect)
         # sizes shrink with i
         assert all(
             a > b for a, b in zip(r.log_layer_sizes, r.log_layer_sizes[1:])
@@ -67,27 +57,8 @@ class TestPaperRegime:
         # the snap must still give C = 1
         import math
 
-        assert paper_regime(math.exp(10)).num_layers == 1
-
-    def test_paper_params_digit_cap(self):
-        with pytest.raises(ParamError):
-            paper_params(log_n=mp.exp(40))  # ~10^17-digit sizes
-
-    def test_paper_params_materializes_small_regime(self):
-        import sys
-
-        sys.set_int_max_str_digits(20_000)
-        log_n = mp.exp(10)
-        p = paper_params(log_n=log_n)
-        assert p.num_layers == 1
-        # |B_1| = round(e^{(1 - 20 eps) log n}) with eps = 1/sqrt(log n),
-        # evaluated at the same working precision the library uses
-        # (digits + 20) so the round-to-nearest target is identical
-        with mp.workdps(8277 + 20):
-            ln = mp.mpf(log_n)
-            expect = int(mp.nint(mp.exp((1 - 20 / mp.sqrt(ln)) * ln)))
-        assert p.layer_sizes == (expect,)
-        assert len(str(expect)) == 8277
+        with mp.workdps(50):
+            assert regime(math.exp(10)).num_layers == 1
 
 
 class TestBuild:

@@ -10,8 +10,6 @@ from regfree.subsample import (
     SubsampleParams,
     claim_probability_bounds,
     harris_subsample,
-    paper_subsample_p,
-    paper_subsample_threshold,
 )
 
 from helpers import complete_graph, random_graph
@@ -29,11 +27,6 @@ class TestParams:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             SubsampleParams(p=Fraction(1, 2), degen_threshold=0, seed=0)
-
-    def test_paper_parameter_helpers(self):
-        log_n = math.exp(40)
-        assert paper_subsample_p(log_n) == pytest.approx(40**-0.75)
-        assert paper_subsample_threshold(log_n) == int(2 * 40**0.25)
 
 
 class TestHarrisSubsample:

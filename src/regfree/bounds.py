@@ -1,11 +1,11 @@
 """Line-by-line numeric replay of the displayed inequality chains.
 
 Everything is evaluated in log-space with mpmath at a configurable
-precision (REGFREE_PRECISION env var, default 50 significant digits):
-the asymptotic regime involves quantities like n = e^(e^40) whose layer
-sizes have ~10^17 digits, so fixed-width floats are hopeless but natural
-logs are tame.  A chain value of -inf encodes an exactly-zero quantity
-(e.g. a binomial count that vanishes).
+precision (REGFREE_PRECISION env var, default 50 significant digits, at
+least 20): the asymptotic regime involves quantities like n = e^(e^40)
+whose layer sizes have ~10^17 digits, so fixed-width floats are hopeless
+but natural logs are tame.  A chain value of -inf encodes an exactly-zero
+quantity (e.g. a binomial count that vanishes).
 
 No asymptotics are asserted anywhere: each step is an instance inequality
 between two numbers, reported as it comes out.  Every report is evaluated
@@ -95,7 +95,9 @@ def _replay_args(n, log_n, dps: Optional[int]):
     """log n and the working precision from a replay's public arguments."""
     if (n is None) == (log_n is None):
         raise DomainError("pass exactly one of n, log_n")
-    dps = dps or default_dps()
+    dps = default_dps() if dps is None else dps
+    if dps < 20:  # _tol sits 10 digits below dps and would pass every step
+        raise DomainError(f"need a precision of at least 20 digits, got {dps}")
     if log_n is None:
         with mp.workdps(2 * dps):  # the precision of the re-check
             log_n = mp.log(mp.mpf(n))

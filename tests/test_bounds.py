@@ -140,6 +140,18 @@ class TestPrecisionContract:
             log_n = mp.log(n)
         assert reg_chain(n=n, i=2, x=10) == reg_chain(log_n=log_n, i=2, x=10)
 
+    @pytest.mark.parametrize("dps", [0, 5, 19])
+    def test_precision_floor(self, dps, monkeypatch):
+        # the step tolerance is 10 digits below dps, so at 5 digits this
+        # chain, which fails at step 3, would hold throughout
+        log_n = mp.exp(11)
+        with pytest.raises(DomainError):
+            reg_chain(log_n=log_n, i=2, x=10, dps=dps)
+        monkeypatch.setenv("REGFREE_PRECISION", str(dps))
+        with pytest.raises(DomainError):
+            reg_chain(log_n=log_n, i=2, x=10)
+        assert reg_chain(log_n=log_n, i=2, x=10, dps=20).first_failure == 3
+
     def test_verdicts_stable_at_higher_dps(self):
         a = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=30)
         b = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=120)

@@ -207,6 +207,14 @@ class TestBoundsCmd:
         rep = bounds.reg_chain(log_n=log_n, i=2, x=10)
         assert json.loads(out) == json.loads(json.dumps(cli._chain_doc(rep)))
 
+    def test_precision_floor(self, capsys, monkeypatch):
+        # at 5 digits every step of this failing chain would "hold"
+        monkeypatch.setenv("REGFREE_PRECISION", "5")
+        code, out, err = run(
+            ["bounds", "reg", "--n", "e^e^11", "--i", "2", "--x", "10"], capsys
+        )
+        assert code == EXIT_ERROR and out == "" and "20 digits" in err
+
     def test_failing_chain_is_inconclusive(self, capsys):
         code, out, _ = run(
             ["bounds", "reg", "--n", "e^e^10", "--i", "2", "--x", "100"], capsys

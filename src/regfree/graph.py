@@ -22,6 +22,13 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _json_int(x, what: str) -> int:
+    # exact type: JSON true/false load as bool, an int subclass
+    if type(x) is not int:
+        raise GraphError(f"{what} must be an integer, got {json.dumps(x)}")
+    return x
+
+
 class Graph:
     """Immutable simple graph.
 
@@ -97,13 +104,16 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> tuple["Graph", Optional[list[int]]]:
         doc = json.loads(text)
-        edges = [(u, v) for u, v in doc["edges"]]
-        g = Graph(doc["n"], edges)
+        edges = [
+            (_json_int(u, "an edge endpoint"), _json_int(v, "an edge endpoint"))
+            for u, v in doc["edges"]
+        ]
+        g = Graph(_json_int(doc["n"], "n"), edges)
         if g.num_edges != len(edges):
             raise GraphError("duplicate edges in input")
         layers = doc.get("layers")
         if layers is not None:
-            layers = [int(s) for s in layers]
+            layers = [_json_int(s, "a layer size") for s in layers]
             if sum(layers) != g.n:
                 raise GraphError("layer sizes do not sum to vertex count")
         return g, layers

@@ -73,6 +73,18 @@ class TestGraphBasics:
             with pytest.raises(GraphError):
                 Graph.from_json(text)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "layers": None, "edges": []},
+            {"n": 2, "layers": None, "edges": [[0, True]]},
+            {"n": 3, "layers": [2.7, 1.3], "edges": []},
+        ],
+    )
+    def test_json_non_integers_rejected(self, doc):
+        with pytest.raises(GraphError):
+            Graph.from_json(json.dumps(doc))
+
     def test_json_bad_layers(self):
         g = Graph(6, [])
         with pytest.raises(GraphError):

@@ -23,7 +23,9 @@ FOUND = "found"
 NOT_FOUND = "not_found"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-DEFAULT_BUDGET = 10_000_000
+# search nodes: the k = 3 search on the 340-vertex ladder 256,64,16,4 expands
+# 6,000-8,000 nodes/s on one 2-vCPU core, so the default stops in about 15 s
+DEFAULT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)

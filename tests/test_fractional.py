@@ -67,6 +67,18 @@ class TestMwis:
         vs, best = mwis(g, {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
         assert best == 1 and vs == (0, 1)
 
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ((1, 0, 1), (0, 1, 2)),  # an interior zero joins: (0, 1, 2) < (0, 2)
+            ((1, 1, 0), (0, 1)),  # a trailing zero does not: (0, 1) < (0, 1, 2)
+        ],
+    )
+    def test_zero_weight_interior_and_trailing(self, weights, expected):
+        g = Graph(3, [])
+        vs, best = mwis(g, {v: Fraction(x) for v, x in enumerate(weights)})
+        assert best == 2 and vs == expected
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             mwis(path_graph(2), {0: Fraction(-1), 1: Fraction(0)})

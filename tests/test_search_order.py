@@ -10,9 +10,17 @@ of the searches must reproduce them exactly.
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
+
+import pytest
 
 from regfree import flow, fractional
-from regfree.construction import bipartite_variant, build, explicit_params
+from regfree.construction import (
+    bipartite_variant,
+    build,
+    explicit_params,
+    paper_weighting,
+)
 from regfree.density import max_density_subgraph
 from regfree.graph import Graph, connected_components, induced_subgraph, k_core
 from regfree.regular import FOUND, NOT_FOUND, find_k_regular, verify_witness
@@ -124,3 +132,36 @@ class TestMwisOrder:
             (16, (2, 5, 8, 9, 11, 12, 13, 14, 17, 19)),
             (18, (0,)),
         ]
+
+    @pytest.mark.parametrize(
+        "sizes, seed, weight, vertices",
+        [
+            (
+                [32, 8, 2], 0, "23/16",
+                (0, 1, 2, 3, 4, 5, 24, 25, 28, 30, 32, 34, 36, 37, 38, 41),
+            ),
+            ([32, 8, 2], 1, "21/16", (0, 7, 34, 35, 36, 37, 38, 39, 40)),
+            (
+                [32, 8, 2], 2, "41/32",
+                (
+                    0, 1, 2, 3, 4, 6, 10, 11, 13, 15, 16, 17, 19, 20, 21, 23,
+                    24, 25, 26, 28, 29, 32, 34, 35, 36, 37,
+                ),
+            ),
+            (
+                [96, 24, 6], 2, "133/96",
+                (
+                    1, 6, 8, 9, 10, 13, 16, 18, 24, 25, 27, 28, 30, 34, 35, 36,
+                    37, 38, 39, 40, 43, 44, 47, 51, 53, 56, 58, 62, 63, 64, 65,
+                    69, 70, 82, 83, 84, 86, 88, 92, 94, 95, 97, 100, 101, 103,
+                    105, 107, 110, 112, 114, 115, 116, 122, 123, 124,
+                ),
+            ),
+        ],
+    )
+    def test_sets_under_paper_weighting(self, sizes, seed, weight, vertices):
+        """The set behind each chif_lb denominator: layer weights are
+        powers of two over |B_i|, so many optimal sets tie."""
+        lg = build(explicit_params(sizes, seed=seed))
+        vs, best = fractional.mwis(lg.graph, paper_weighting(lg))
+        assert (vs, best) == (vertices, Fraction(weight))

@@ -67,12 +67,16 @@ class DualWitness:
 
 
 def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
-    """Exact maximum-weight independent set.
+    """Exact maximum-weight independent set, in one branch and bound.
 
-    Branch and bound on a max-weight vertex (include and delete its closed
-    neighborhood, or exclude), pruned by the sum of remaining weights.
-    Ties go to the lexicographically smallest vertex set (Python tuple
-    order on the sorted vertices), recovered by a greedy second phase.
+    Branch on a max-weight vertex (include and delete its closed
+    neighborhood, or exclude), pruned by the sum of remaining keys.  The
+    tie-break is part of the objective: vertex v counts as
+    key[v] = iw[v] << n | 1 << (n - 1 - v), with iw the weights scaled to
+    integers, so the set of largest total key has maximum weight and, among
+    those, the largest indicator vector read from vertex 0.  That is the
+    lexicographically smallest optimal set (Python tuple order on the sorted
+    vertices) once trailing zero-weight vertices are stripped from it.
     """
     n = g.n
     weights = [Fraction(w.get(v, 0)) for v in range(n)]
@@ -80,62 +84,44 @@ def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
         raise ValueError("weights must be nonnegative")
     denom = lcm(*[x.denominator for x in weights]) if n else 1
     iw = [int(x * denom) for x in weights]
+    key = [iw[v] << n | 1 << (n - 1 - v) for v in range(n)]
     closed = [g.adj_mask[v] | (1 << v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-iw[v], v))
+    order = sorted(range(n), key=lambda v: -key[v])
 
-    def mask_weight(m: int) -> int:
+    def mask_key(m: int) -> int:
         s = 0
         while m:
             low = m & -m
-            s += iw[low.bit_length() - 1]
+            s += key[low.bit_length() - 1]
             m ^= low
         return s
 
-    def best_weight(mask: int, forced: int) -> int:
-        """Max total iw over independent sets inside mask; forced is the
-        weight already committed outside mask."""
-        best = 0
-        # (candidates, weight taken, weight of candidates); "take v" is
-        # pushed above "drop v", so its whole subtree is searched first
-        stack = [(mask, 0, mask_weight(mask))]
-        while stack:
-            m, cur, rest = stack.pop()
-            if cur + rest <= best:
-                continue
-            v = next((u for u in order if (m >> u) & 1), None)
-            if v is None:
-                best = cur  # rest == 0 here, so cur > best
-                continue
-            stack.append((m & ~(1 << v), cur, rest - iw[v]))
-            taken = m & closed[v]
-            stack.append((m & ~taken, cur + iw[v], rest - mask_weight(taken)))
-        return best + forced
-
+    best, best_set = 0, 0
+    # (candidates, key taken, key of candidates, set taken); "take v" is
+    # pushed above "drop v", so its whole subtree is searched first
     full = (1 << n) - 1
-    target = best_weight(full, 0)
-
-    # lexicographic extraction: grow the smallest optimal set greedily
-    chosen: list[int] = []
-    mask = full
-    got = 0
-    for v in range(n):
-        if not (mask >> v) & 1:
+    stack = [(full, 0, mask_key(full), 0)]
+    while stack:
+        m, cur, rest, chosen = stack.pop()
+        if cur + rest <= best:
             continue
-        if got == target:
-            break  # the shorter prefix wins any extension
-        with_v = got + iw[v]
-        rest_mask = (mask & ~closed[v]) & ~((1 << (v + 1)) - 1)
-        if best_weight(rest_mask, with_v) == target:
-            chosen.append(v)
-            got = with_v
-            mask &= ~closed[v]
-        else:
-            mask &= ~(1 << v)
-    vs = tuple(chosen)
+        v = next((u for u in order if (m >> u) & 1), None)
+        if v is None:
+            best, best_set = cur, chosen  # rest == 0 here, so cur > best
+            continue
+        stack.append((m & ~(1 << v), cur, rest - key[v], chosen))
+        taken = m & closed[v]
+        stack.append(
+            (m & ~taken, cur + key[v], rest - mask_key(taken), chosen | 1 << v)
+        )
+
+    vs = [v for v in range(n) if (best_set >> v) & 1]
+    while vs and iw[vs[-1]] == 0:
+        vs.pop()  # a proper prefix comes first in tuple order
     weight = sum((weights[v] for v in vs), Fraction(0))
-    if int(weight * denom) != target:
-        raise ArithmeticError("extracted set misses the optimal weight")
-    return vs, weight
+    if int(weight * denom) != best >> n:
+        raise ArithmeticError("returned set misses the optimal weight")
+    return tuple(vs), weight
 
 
 def _solve_restricted(

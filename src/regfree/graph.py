@@ -29,6 +29,12 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _json_list(x, what: str) -> list:
+    if type(x) is not list:
+        raise GraphError(f"{what} must be a list, got {json.dumps(x)}")
+    return x
+
+
 class Graph:
     """Immutable simple graph.
 
@@ -104,16 +110,22 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> tuple["Graph", Optional[list[int]]]:
         doc = json.loads(text)
-        edges = [
-            (_json_int(u, "an edge endpoint"), _json_int(v, "an edge endpoint"))
-            for u, v in doc["edges"]
-        ]
+        if type(doc) is not dict:
+            raise GraphError("a graph must be a JSON object")
+        for k in ("n", "edges"):
+            if k not in doc:
+                raise GraphError(f"graph JSON has no {k!r}")
+        edges = []
+        for e in _json_list(doc["edges"], "edges"):
+            if type(e) is not list or len(e) != 2:
+                raise GraphError(f"an edge must be a pair [u, v], got {json.dumps(e)}")
+            edges.append(tuple(_json_int(x, "an edge endpoint") for x in e))
         g = Graph(_json_int(doc["n"], "n"), edges)
         if g.num_edges != len(edges):
             raise GraphError("duplicate edges in input")
         layers = doc.get("layers")
         if layers is not None:
-            layers = [_json_int(s, "a layer size") for s in layers]
+            layers = [_json_int(s, "a layer size") for s in _json_list(layers, "layers")]
             if sum(layers) != g.n:
                 raise GraphError("layer sizes do not sum to vertex count")
         return g, layers

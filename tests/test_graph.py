@@ -85,6 +85,28 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            "3",
+            None,
+            {"edges": []},
+            {"n": 2, "layers": None},
+            {"n": 3, "layers": None, "edges": [[0, 1, 2]]},
+            {"n": 2, "layers": None, "edges": [[0]]},
+            {"n": 2, "layers": None, "edges": [0]},
+            {"n": 2, "layers": None, "edges": "01"},
+            {"n": 2, "layers": None, "edges": {"0": 1}},
+            {"n": 2, "layers": 2, "edges": []},
+            {"n": 2, "layers": {"a": 2}, "edges": []},
+        ],
+    )
+    def test_json_malformed_structure_rejected(self, doc):
+        # each used to escape as a KeyError, TypeError or ValueError
+        with pytest.raises(GraphError):
+            Graph.from_json(json.dumps(doc))
+
     def test_json_bad_layers(self):
         g = Graph(6, [])
         with pytest.raises(GraphError):

@@ -40,12 +40,14 @@ def default_dps() -> int:
 def parse_real(expr: str) -> mp.mpf:
     """Parse 'e^e^40'-style tower notation ('^' right-associative, base 'e'
     or a number) or a plain numeric literal."""
-    expr = expr.strip().replace("(", "").replace(")", "")
-    parts = expr.split("^")
-    val = mp.e if parts[-1] == "e" else mp.mpf(parts[-1])
-    for base in reversed(parts[:-1]):
-        b = mp.e if base == "e" else mp.mpf(base)
-        val = mp.power(b, val)
+    parts = expr.strip().replace("(", "").replace(")", "").split("^")
+    try:
+        terms = [mp.e if t == "e" else mp.mpf(t) for t in parts]
+    except ValueError:
+        raise DomainError(f"cannot read {expr!r} as a real number") from None
+    val = terms[-1]
+    for base in reversed(terms[:-1]):
+        val = mp.power(base, val)
     return val
 
 

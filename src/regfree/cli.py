@@ -73,9 +73,28 @@ def _emit_json(doc, out_path=None) -> None:
     _emit(json.dumps(doc, indent=2), out_path)
 
 
+def _sizes(text: str) -> list[int]:
+    """--sizes as integers; explicit_params checks the ladder itself."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _seed_range(text: str) -> range:
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a range lo:hi, got {text!r}"
+        ) from None
+    return range(lo, hi)
+
+
 def cmd_construct(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    lg = build(explicit_params(sizes, seed=args.seed))
+    lg = build(explicit_params(args.sizes, seed=args.seed))
     lg.check_invariants()
     _emit(lg.graph.to_json(layers=lg.layer_sizes), args.out)
     return EXIT_OK
@@ -237,7 +256,8 @@ def cmd_bounds(args) -> int:
         _emit_json(_chain_doc(rep), args.out)
         return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
     if args.which == "frac":
-        rep = bounds_mod.frac_chain(log_n=log_n, i=args.i, p_i=mp.mpf(args.p_i))
+        # a string, so each replay pass reads p_i at its own precision
+        rep = bounds_mod.frac_chain(log_n=log_n, i=args.i, p_i=args.p_i)
         _emit_json(_chain_doc(rep), args.out)
         return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
     rep = bounds_mod.union_bounds(log_n=log_n)
@@ -353,16 +373,15 @@ def run_checks(sizes, seed: int, checks) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = args.sizes
     explicit_params(sizes)  # a bad ladder fails every seed: reject it once
-    lo, hi = (int(x) for x in args.seeds.split(":"))
     checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
     for c in checks:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check {c!r}")
     records = []
     inconclusive = False
-    for seed in range(lo, hi):
+    for seed in args.seeds:
         t0 = time.monotonic()
         try:
             outcomes = run_checks(sizes, seed, checks)
@@ -406,7 +425,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a layered random graph")
     p.add_argument(
-        "--sizes", required=True, help="comma-separated layer sizes, e.g. 8,4,2"
+        "--sizes",
+        type=_sizes,
+        required=True,
+        help="comma-separated layer sizes, e.g. 8,4,2",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -463,8 +485,10 @@ def make_parser() -> argparse.ArgumentParser:
         bp.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="seed-sweep experiments")
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--seeds", required=True, help="range lo:hi (hi exclusive)")
+    p.add_argument("--sizes", type=_sizes, required=True)
+    p.add_argument(
+        "--seeds", type=_seed_range, required=True, help="range lo:hi (hi exclusive)"
+    )
     p.add_argument("--checks", help=f"subset of {','.join(ALL_CHECKS)}")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_sweep)

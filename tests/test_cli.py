@@ -72,6 +72,19 @@ class TestUsageErrors:
         code, out, _ = run([flag], capsys)
         assert code == EXIT_OK and out
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["construct", "--sizes", "4,,2"], "--sizes"),
+            (["sweep", "--sizes", "4,x", "--seeds", "0:1", "--out", "s"], "--sizes"),
+            (["sweep", "--sizes", "4,2", "--seeds", "3", "--out", "s"], "--seeds"),
+            (["bounds", "reg", "--n", "e^^3", "--i", "2", "--x", "10"], "e^^3"),
+        ],
+    )
+    def test_parse_error_names_its_input(self, argv, named, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_ERROR and out == "" and named in err
+
 
 class TestDetectRegular:
     def test_not_found_on_construction(self, desk_graph, capsys):
@@ -205,6 +218,16 @@ class TestBoundsCmd:
         with mp.workdps(100):
             log_n = mp.exp(10)
         rep = bounds.reg_chain(log_n=log_n, i=2, x=10)
+        assert json.loads(out) == json.loads(json.dumps(cli._chain_doc(rep)))
+
+    def test_p_i_read_at_replay_precision(self, capsys):
+        # 0.4 is not exact in binary: read at 15 digits it moves the chain
+        _, out, _ = run(
+            ["bounds", "frac", "--n", "e^e^40", "--i", "1", "--p-i", "0.4"], capsys
+        )
+        with mp.workdps(100):
+            log_n = mp.exp(40)
+        rep = bounds.frac_chain(log_n=log_n, i=1, p_i="0.4")
         assert json.loads(out) == json.loads(json.dumps(cli._chain_doc(rep)))
 
     def test_precision_floor(self, capsys, monkeypatch):

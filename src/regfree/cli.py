@@ -373,8 +373,7 @@ def run_checks(sizes, seed: int, checks) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    sizes = args.sizes
-    explicit_params(sizes)  # a bad ladder fails every seed: reject it once
+    explicit_params(args.sizes)  # a bad ladder fails every seed: reject it once
     checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
     for c in checks:
         if c not in ALL_CHECKS:
@@ -384,12 +383,12 @@ def cmd_sweep(args) -> int:
     for seed in args.seeds:
         t0 = time.monotonic()
         try:
-            outcomes = run_checks(sizes, seed, checks)
+            outcomes = run_checks(args.sizes, seed, checks)
             error = None
         except Exception as exc:  # per-seed errors never abort the sweep
             outcomes, error = {}, repr(exc)
         rec = {
-            "sizes": sizes,
+            "sizes": args.sizes,
             "seed": seed,
             "checks": outcomes,
             "error": error,

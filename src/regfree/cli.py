@@ -90,7 +90,39 @@ def _seed_range(text: str) -> range:
         raise argparse.ArgumentTypeError(
             f"expected a range lo:hi, got {text!r}"
         ) from None
+    if hi <= lo:
+        raise argparse.ArgumentTypeError(f"the range {text!r} has no seeds")
     return range(lo, hi)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational such as 1/4, got {text!r}"
+        ) from None
+
+
+def _real_literal(text: str) -> str:
+    """Checked, but kept a string: the replay reads it at its own precision."""
+    try:
+        mp.mpf(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a real number such as 0.4, got {text!r}"
+        ) from None
+    return text
 
 
 def cmd_construct(args) -> int:
@@ -121,7 +153,7 @@ def cmd_detect_regular(args) -> int:
 def cmd_certify(args) -> int:
     g, layers = _read_graph(args.infile)
     lg = _layered(g, layers)
-    threshold = Fraction(args.threshold)
+    threshold = args.threshold
     if args.k == 4:
         outcome = prefix_certificate_4reg(lg, threshold)
     elif args.k == 3:
@@ -200,7 +232,7 @@ def cmd_subsample(args) -> int:
     g, layers = _read_graph(args.infile)
     d, ordering = degeneracy(g)
     threshold = args.threshold if args.threshold is not None else max(d, 1)
-    p = Fraction(args.p)
+    p = args.p
     if layers is not None:
         w = paper_weighting(_layered(g, layers))
     else:
@@ -443,7 +475,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="prefix density certificate")
     p.add_argument("--k", type=int, required=True, choices=(3, 4))
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--threshold", default="11/10")
+    p.add_argument("--threshold", type=_fraction, default="11/10")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
@@ -462,10 +494,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subsample", help="triangle-free subsampling trials")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p", required=True, help="inclusion probability, e.g. 1/4")
+    p.add_argument(
+        "--p", type=_fraction, required=True, help="inclusion probability, e.g. 1/4"
+    )
     p.add_argument("--threshold", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_subsample)
 
@@ -479,7 +513,7 @@ def make_parser() -> argparse.ArgumentParser:
         if which == "reg":
             bp.add_argument("--x", type=int, required=True)
         if which == "frac":
-            bp.add_argument("--p-i", dest="p_i", required=True)
+            bp.add_argument("--p-i", dest="p_i", type=_real_literal, required=True)
         bp.add_argument("--out")
         bp.set_defaults(func=cmd_bounds)
 

@@ -7,8 +7,8 @@ independent set solver, stop when no independent set has weight > 1.  At
 termination primal and dual values coincide exactly, and both certificates
 are re-validated from scratch.
 
-chromatic_number_exact is a small branch-and-bound colorer for the desk
-scale sanity checks chi(G) >= ceil(chi_f(G)).
+chi_f_lower_bound divides a vertex weighting's total by its maximum
+independent-set weight, from the same mwis.
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import simplex
 from .graph import Graph, is_independent
 
 
 class ZeroWeight(ValueError):
-    pass
-
-
-class SizeLimit(ValueError):
     pass
 
 
@@ -77,6 +73,7 @@ def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
     those, the largest indicator vector read from vertex 0.  That is the
     lexicographically smallest optimal set (Python tuple order on the sorted
     vertices) once trailing zero-weight vertices are stripped from it.
+    Vertex sets are n-bit masks built here from g.adj, one per call.
     """
     n = g.n
     weights = [Fraction(w.get(v, 0)) for v in range(n)]
@@ -85,7 +82,7 @@ def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
     denom = lcm(*[x.denominator for x in weights]) if n else 1
     iw = [int(x * denom) for x in weights]
     key = [iw[v] << n | 1 << (n - 1 - v) for v in range(n)]
-    closed = [g.adj_mask[v] | (1 << v) for v in range(n)]
+    closed = [sum(1 << u for u in (v, *g.adj[v])) for v in range(n)]
     order = sorted(range(n), key=lambda v: -key[v])
 
     def mask_key(m: int) -> int:
@@ -179,71 +176,3 @@ def chi_f_lower_bound(g: Graph, w: dict[int, Fraction]) -> Fraction:
     _, best = mwis(g, w)
     return total / best
 
-
-def _greedy_coloring(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    color: dict[int, int] = {}
-    used = 0
-    for v in order:
-        taken = {color[u] for u in g.adj[v] if u in color}
-        c = next(i for i in range(used + 1) if i not in taken)
-        color[v] = c
-        used = max(used, c + 1)
-    return used
-
-
-def _greedy_clique(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    clique_mask = 0
-    size = 0
-    for v in order:
-        if (g.adj_mask[v] & clique_mask) == clique_mask:
-            clique_mask |= 1 << v
-            size += 1
-    return size
-
-
-def _k_colorable(g: Graph, k: int) -> bool:
-    n = g.n
-    color = [-1] * n
-
-    def pick() -> Optional[int]:
-        best_v, best_key = None, None
-        for v in range(n):
-            if color[v] != -1:
-                continue
-            sat = len({color[u] for u in g.adj[v] if color[u] != -1})
-            key = (-sat, -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
-
-    def rec(colored: int, maxc: int) -> bool:
-        if colored == n:
-            return True
-        v = pick()
-        taken = {color[u] for u in g.adj[v] if color[u] != -1}
-        for c in range(min(k, maxc + 1)):
-            if c in taken:
-                continue
-            color[v] = c
-            if rec(colored + 1, max(maxc, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return rec(0, 0)
-
-
-def chromatic_number_exact(g: Graph, max_vertices: int = 64) -> int:
-    """Exact chromatic number by branch and bound (small graphs only)."""
-    if g.n > max_vertices:
-        raise SizeLimit(f"graph has {g.n} > {max_vertices} vertices")
-    if g.n == 0:
-        return 0
-    ub = _greedy_coloring(g)
-    lb = max(_greedy_clique(g), 1)
-    for k in range(lb, ub):
-        if _k_colorable(g, k):
-            return k
-    return ub

@@ -1,14 +1,17 @@
 """Simple undirected graphs on dense integer vertices, plus the structural
 primitives everything else is built on: degeneracy orderings, k-cores,
-independence tests, triangle search, induced subgraphs, and the shared JSON
-file format.
+independence tests, triangle search, induced subgraphs, connected
+components, and the shared JSON file format.
 
 Vertices are 0..n-1.  Edges are unordered pairs stored as (u, v) with u < v.
-Graph values are immutable after construction and safe to share.
+A graph keeps its sorted edge tuple, an edge set and sorted neighbour
+lists, so memory grows with n + m.  Graph values are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -38,11 +41,11 @@ def _json_list(x, what: str) -> list:
 class Graph:
     """Immutable simple graph.
 
-    Adjacency is kept both as sorted neighbor lists (for iteration) and as
-    per-vertex bitmasks (for O(1)-ish membership and fast set intersections).
+    Adjacency is kept as sorted neighbour lists (for iteration) and as a set
+    of normalized edges (for has_edge).
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_edge_set")
+    __slots__ = ("n", "edges", "adj", "_edge_set")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -58,14 +61,10 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(es))
         self._edge_set = frozenset(self.edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        mask = [0] * n
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self.adj_mask: tuple[int, ...] = tuple(mask)
 
     @property
     def num_edges(self) -> int:
@@ -73,9 +72,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self._edge_set
@@ -109,7 +105,10 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> tuple["Graph", Optional[list[int]]]:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphError(f"graph file is not valid JSON: {exc}") from None
         if type(doc) is not dict:
             raise GraphError("a graph must be a JSON object")
         for k in ("n", "edges"):
@@ -213,26 +212,17 @@ def k_core(g: Graph, k: int) -> list[int]:
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     """True iff no edge of g has both endpoints in s."""
-    mask = 0
-    for v in s:
-        mask |= 1 << v
-    v = mask
-    while v:
-        low = v & -v
-        idx = low.bit_length() - 1
-        if g.adj_mask[idx] & mask:
-            return False
-        v ^= low
-    return True
+    return not any(g.has_edge(u, v) for u, v in itertools.combinations(set(s), 2))
 
 
 def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
-    """Some triangle as a sorted triple, or None."""
+    """The first edge in sorted order with a common neighbour, closed by its
+    smallest common neighbour, as a sorted triple; None if triangle-free."""
+    nbrs = [set(a) for a in g.adj]
     for u, v in g.edges:
-        common = g.adj_mask[u] & g.adj_mask[v]
+        common = nbrs[u] & nbrs[v]
         if common:
-            w = (common & -common).bit_length() - 1
-            return tuple(sorted((u, v, w)))
+            return tuple(sorted((u, v, min(common))))
     return None
 
 
@@ -271,21 +261,3 @@ def connected_components(g: Graph) -> list[list[int]]:
         comps.append(sorted(comp))
     return comps
 
-
-def is_bipartite(g: Graph) -> bool:
-    """BFS 2-coloring check."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in g.adj[v]:
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True

@@ -1,5 +1,6 @@
-"""Shared fixtures: named graphs, seeded random graphs, and brute-force
-oracles kept deliberately independent of the library's algorithms."""
+"""Shared fixtures: named graphs, seeded random graphs, brute-force oracles
+kept deliberately independent of the library's algorithms, and an exact
+chromatic number for small graphs."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from regfree.graph import Graph
 
@@ -69,13 +71,42 @@ def shallow_stack(headroom: int = 40):
 # --- brute-force oracles ---------------------------------------------------
 
 
+def adjacency_masks(g: Graph) -> list[int]:
+    """Per-vertex neighbourhoods as n-bit masks."""
+    return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+
+
+def max_degree(g: Graph) -> int:
+    return max((len(a) for a in g.adj), default=0)
+
+
+def is_bipartite(g: Graph) -> bool:
+    """BFS 2-coloring check."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in g.adj[v]:
+                if color[u] == -1:
+                    color[u] = 1 - color[v]
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    return False
+    return True
+
+
 def brute_degeneracy(g: Graph) -> int:
     """Least t such that every induced subgraph has a vertex of degree <= t,
     by scanning all vertex subsets."""
+    adj = adjacency_masks(g)
     worst = 0
     for mask in range(1, 1 << g.n):
         min_deg = min(
-            (g.adj_mask[v] & mask).bit_count()
+            (adj[v] & mask).bit_count()
             for v in range(g.n)
             if mask >> v & 1
         )
@@ -85,10 +116,11 @@ def brute_degeneracy(g: Graph) -> int:
 
 def brute_k_core(g: Graph, k: int) -> list[int]:
     """Maximal subset inducing min degree >= k, over all subsets."""
+    adj = adjacency_masks(g)
     best = 0
     for mask in range(1 << g.n):
         if mask and any(
-            (g.adj_mask[v] & mask).bit_count() < k
+            (adj[v] & mask).bit_count() < k
             for v in range(g.n)
             if mask >> v & 1
         ):
@@ -108,7 +140,7 @@ def brute_triangle_exists(g: Graph) -> bool:
 def subset_scan(g: Graph, weights=None):
     """Yield (mask, vertex list, induced edge count, total weight) for every
     nonempty vertex subset.  Integer weights only (pre-scale rationals)."""
-    adj = g.adj_mask
+    adj = adjacency_masks(g)
     for mask in range(1, 1 << g.n):
         vs = [v for v in range(g.n) if mask >> v & 1]
         e = sum((adj[v] & mask).bit_count() for v in vs) // 2
@@ -125,11 +157,12 @@ def brute_max_density(g: Graph) -> Fraction:
 
 def brute_mwis(g: Graph, w: dict[int, Fraction]):
     """(best weight, lexicographically smallest argmax as sorted tuple)."""
+    adj = adjacency_masks(g)
     best = Fraction(0)
     best_set: tuple = ()
     for mask in range(1 << g.n):
         vs = tuple(v for v in range(g.n) if mask >> v & 1)
-        if any(g.adj_mask[v] & mask for v in vs):
+        if any(adj[v] & mask for v in vs):
             continue
         wt = sum((w[v] for v in vs), Fraction(0))
         if wt > best or (wt == best and vs < best_set):
@@ -140,11 +173,12 @@ def brute_mwis(g: Graph, w: dict[int, Fraction]):
 def brute_k_regular_exists(g: Graph, k: int) -> bool:
     """Exhaustive enumeration over (vertex subset, edge subset) pairs,
     organized as per-vertex exact-degree selection."""
+    adj = adjacency_masks(g)
     for mask in range(1, 1 << g.n):
         vs = [v for v in range(g.n) if mask >> v & 1]
         if len(vs) < k + 1:
             continue
-        if any((g.adj_mask[v] & mask).bit_count() < k for v in vs):
+        if any((adj[v] & mask).bit_count() < k for v in vs):
             continue
         if _has_k_factor(g, vs, k):
             return True
@@ -182,3 +216,81 @@ def _has_k_factor(g: Graph, vs: list[int], k: int) -> bool:
         return False
 
     return place(0)
+
+
+# --- exact chromatic number ------------------------------------------------
+
+
+class SizeLimit(ValueError):
+    pass
+
+
+def _greedy_coloring(g: Graph) -> int:
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    color: dict[int, int] = {}
+    used = 0
+    for v in order:
+        taken = {color[u] for u in g.adj[v] if u in color}
+        c = next(i for i in range(used + 1) if i not in taken)
+        color[v] = c
+        used = max(used, c + 1)
+    return used
+
+
+def _greedy_clique(g: Graph) -> int:
+    adj = adjacency_masks(g)
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    clique_mask = 0
+    size = 0
+    for v in order:
+        if (adj[v] & clique_mask) == clique_mask:
+            clique_mask |= 1 << v
+            size += 1
+    return size
+
+
+def _k_colorable(g: Graph, k: int) -> bool:
+    n = g.n
+    color = [-1] * n
+
+    def pick() -> Optional[int]:
+        best_v, best_key = None, None
+        for v in range(n):
+            if color[v] != -1:
+                continue
+            sat = len({color[u] for u in g.adj[v] if color[u] != -1})
+            key = (-sat, -g.degree(v), v)
+            if best_key is None or key < best_key:
+                best_v, best_key = v, key
+        return best_v
+
+    def rec(colored: int, maxc: int) -> bool:
+        if colored == n:
+            return True
+        v = pick()
+        taken = {color[u] for u in g.adj[v] if color[u] != -1}
+        for c in range(min(k, maxc + 1)):
+            if c in taken:
+                continue
+            color[v] = c
+            if rec(colored + 1, max(maxc, c + 1)):
+                return True
+            color[v] = -1
+        return False
+
+    return rec(0, 0)
+
+
+def chromatic_number_exact(g: Graph, max_vertices: int = 64) -> int:
+    """Exact chromatic number by branch and bound (small graphs only), for
+    the sanity check chi(G) >= ceil(chi_f(G))."""
+    if g.n > max_vertices:
+        raise SizeLimit(f"graph has {g.n} > {max_vertices} vertices")
+    if g.n == 0:
+        return 0
+    ub = _greedy_coloring(g)
+    lb = max(_greedy_clique(g), 1)
+    for k in range(lb, ub):
+        if _k_colorable(g, k):
+            return k
+    return ub

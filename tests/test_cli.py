@@ -79,6 +79,13 @@ class TestUsageErrors:
             (["sweep", "--sizes", "4,x", "--seeds", "0:1", "--out", "s"], "--sizes"),
             (["sweep", "--sizes", "4,2", "--seeds", "3", "--out", "s"], "--seeds"),
             (["bounds", "reg", "--n", "e^^3", "--i", "2", "--x", "10"], "e^^3"),
+            (["bounds", "frac", "--n", "e^e^40", "--i", "1", "--p-i", "abc"], "--p-i"),
+            (["subsample", "--in", "g.json", "--p", "abc"], "--p"),
+            (["certify", "--k", "4", "--in", "g.json", "--threshold", "abc"], "--threshold"),
+            # empty runs
+            (["subsample", "--in", "g.json", "--p", "1/4", "--trials", "0"], "--trials"),
+            (["subsample", "--in", "g.json", "--p", "1/4", "--trials", "-1"], "--trials"),
+            (["sweep", "--sizes", "4,2", "--seeds", "5:3", "--out", "s"], "--seeds"),
         ],
     )
     def test_parse_error_names_its_input(self, argv, named, capsys):

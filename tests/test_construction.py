@@ -137,7 +137,7 @@ class TestBipartiteVariant:
             assert lg.layer_of(u) != lg.layer_of(v)
 
     def test_is_bipartite(self):
-        from regfree.graph import is_bipartite
+        from helpers import is_bipartite
 
         lg = build(explicit_params(DESK, seed=1))
         assert is_bipartite(bipartite_variant(lg))

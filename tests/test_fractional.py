@@ -7,18 +7,18 @@ import pytest
 from regfree.construction import build, explicit_params, paper_weighting
 from regfree.fractional import (
     ColumnLimitExceeded,
-    SizeLimit,
     ZeroWeight,
     chi_f_exact,
     chi_f_lower_bound,
-    chromatic_number_exact,
     mwis,
 )
 from regfree.graph import Graph, is_independent
 from regfree.simplex import solve_max
 
 from helpers import (
+    SizeLimit,
     brute_mwis,
+    chromatic_number_exact,
     complete_graph,
     cycle_graph,
     path_graph,

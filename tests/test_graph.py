@@ -11,7 +11,6 @@ from regfree.graph import (
     degeneracy,
     find_triangle,
     induced_subgraph,
-    is_bipartite,
     is_independent,
     k_core,
 )
@@ -22,6 +21,8 @@ from helpers import (
     brute_triangle_exists,
     complete_graph,
     cycle_graph,
+    is_bipartite,
+    max_degree,
     path_graph,
     random_graph,
     random_tree,
@@ -107,6 +108,12 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ['{"n": 2,', ""])
+    def test_json_syntax_error_rejected(self, text):
+        # used to escape as json.JSONDecodeError
+        with pytest.raises(GraphError, match="not valid JSON"):
+            Graph.from_json(text)
+
     def test_json_bad_layers(self):
         g = Graph(6, [])
         with pytest.raises(GraphError):
@@ -138,7 +145,7 @@ class TestDegeneracy:
         rng = random.Random(9)
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 14), 0.3)
-            assert degeneracy(g)[0] <= g.max_degree()
+            assert degeneracy(g)[0] <= max_degree(g)
 
 
 class TestKCore:

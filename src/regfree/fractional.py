@@ -65,58 +65,98 @@ class DualWitness:
 def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
     """Exact maximum-weight independent set, in one branch and bound.
 
-    Branch on a max-weight vertex (include and delete its closed
-    neighborhood, or exclude), pruned by the sum of remaining keys.  The
-    tie-break is part of the objective: vertex v counts as
-    key[v] = iw[v] << n | 1 << (n - 1 - v), with iw the weights scaled to
-    integers, so the set of largest total key has maximum weight and, among
-    those, the largest indicator vector read from vertex 0.  That is the
-    lexicographically smallest optimal set (Python tuple order on the sorted
-    vertices) once trailing zero-weight vertices are stripped from it.
-    Vertex sets are n-bit masks built here from g.adj, one per call.
+    Vertex v counts as key[v] = iw[v] << n | 1 << (n - 1 - v), with iw the
+    weights scaled to integers.  Keys are unique per set, since the low n
+    bits are its indicator vector read from vertex 0, so the set of largest
+    total key is the one optimum with maximum weight and, among those, the
+    largest indicator.  That is the lexicographically smallest optimal set
+    (Python tuple order on the sorted vertices) once trailing zero-weight
+    vertices are stripped from it.  Any exact search over the keys returns
+    it, whatever order it explores in.
+
+    The search branches only on candidates, the vertices outside I, a
+    maximal independent set built greedily by ascending (degree, index);
+    on the layered construction I is mostly B_1.  Every key is positive,
+    so once the candidates are settled the best completion takes every
+    free I vertex, one with no chosen neighbour.  The bound charges each
+    free I vertex u to the cnt[u] live candidates next to it: a
+    candidate's gain is key[v] minus key[u] / cnt[u] summed over its free
+    I neighbours, and the bound is key(taken) + key(free I) plus the sum
+    of the positive gains.  It holds because a set of live candidates
+    loses each of its free I neighbours once and is charged at most
+    key[u] for it.  Keys are scaled by lcm(1..max degree in I), so every
+    share is an exact integer.  A node with no positive gain is a leaf:
+    taking its free I vertices attains the bound.  Otherwise the search
+    branches on the candidate of largest gain (ties to the smallest
+    index), taking it before dropping it, and prunes a node whose bound
+    is at most the best key found.  Vertex sets are n-bit masks built
+    here from g.adj, one per call.
     """
     n = g.n
+    if any(v not in range(n) for v in w):
+        raise ValueError("weights must be on vertices 0..n-1")
     weights = [Fraction(w.get(v, 0)) for v in range(n)]
     if any(x < 0 for x in weights):
         raise ValueError("weights must be nonnegative")
     denom = lcm(*[x.denominator for x in weights]) if n else 1
     iw = [int(x * denom) for x in weights]
-    key = [iw[v] << n | 1 << (n - 1 - v) for v in range(n)]
-    closed = [sum(1 << u for u in (v, *g.adj[v])) for v in range(n)]
-    order = sorted(range(n), key=lambda v: -key[v])
+    adj = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+    indep = blocked = 0
+    for v in sorted(range(n), key=lambda v: (len(g.adj[v]), v)):
+        if not (blocked >> v) & 1:
+            indep |= 1 << v
+            blocked |= adj[v]
+    ind = [v for v in range(n) if (indep >> v) & 1]
+    # a share key[u] // cnt[u] has cnt[u] <= deg(u), u in I
+    scale = lcm(*range(1, max((len(g.adj[u]) for u in ind), default=0) + 1))
+    key = [(iw[v] << n | 1 << (n - 1 - v)) * scale for v in range(n)]
 
-    def mask_key(m: int) -> int:
-        s = 0
-        while m:
-            low = m & -m
-            s += key[low.bit_length() - 1]
-            m ^= low
-        return s
-
+    cand = [v for v in range(n) if not (indep >> v) & 1]
+    nbr_i = [[u for u in g.adj[v] if (indep >> u) & 1] for v in range(n)]
     best, best_set = 0, 0
-    # (candidates, key taken, key of candidates, set taken); "take v" is
-    # pushed above "drop v", so its whole subtree is searched first
-    full = (1 << n) - 1
-    stack = [(full, 0, mask_key(full), 0)]
+    # (live candidates, free I vertices, key of the set taken and the free
+    # I vertices, set taken); "take v" is pushed above "drop v", so its
+    # whole subtree is searched first
+    stack = [(((1 << n) - 1) & ~indep, indep, sum(key[u] for u in ind), 0)]
     while stack:
-        m, cur, rest, chosen = stack.pop()
-        if cur + rest <= best:
+        live, free, base, chosen = stack.pop()
+        bound, v, top = base, None, 0
+        share = {}
+        for c in cand:
+            if (live >> c) & 1:
+                x = key[c]
+                for u in nbr_i[c]:
+                    if (free >> u) & 1:
+                        part = share.get(u)
+                        if part is None:
+                            part = key[u] // (adj[u] & live).bit_count()
+                            share[u] = part
+                        x -= part
+                if x > 0:
+                    bound += x
+                    if x > top:
+                        v, top = c, x
+        if bound <= best:
             continue
-        v = next((u for u in order if (m >> u) & 1), None)
         if v is None:
-            best, best_set = cur, chosen  # rest == 0 here, so cur > best
+            best, best_set = bound, chosen | free
             continue
-        stack.append((m & ~(1 << v), cur, rest - key[v], chosen))
-        taken = m & closed[v]
+        lost = free & adj[v]
+        stack.append((live & ~(1 << v), free, base, chosen))
         stack.append(
-            (m & ~taken, cur + key[v], rest - mask_key(taken), chosen | 1 << v)
+            (
+                live & ~(1 << v | adj[v]),
+                free & ~lost,
+                base + key[v] - sum(key[u] for u in nbr_i[v] if (lost >> u) & 1),
+                chosen | 1 << v,
+            )
         )
 
     vs = [v for v in range(n) if (best_set >> v) & 1]
     while vs and iw[vs[-1]] == 0:
         vs.pop()  # a proper prefix comes first in tuple order
     weight = sum((weights[v] for v in vs), Fraction(0))
-    if int(weight * denom) != best >> n:
+    if int(weight * denom) != best // scale >> n:
         raise ArithmeticError("returned set misses the optimal weight")
     return tuple(vs), weight
 

@@ -167,6 +167,13 @@ class TestChif:
         assert doc["total_weight"] == "3/1"
         assert Fraction(doc["chi_f_lower_bound"]) > 1
 
+    def test_lower_bound_at_desk_scale(self, desk_graph, capsys):
+        # the MWIS behind it has weight 389/256 out of a total of 4
+        code, out, _ = run(["chif", "--in", str(desk_graph), "--lower-bound"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["chi_f_lower_bound"], doc["total_weight"]) == ("1024/389", "4/1")
+
 
 class TestDegeneracyCmd:
     def test_reports_bound(self, desk_graph, capsys):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from regfree.construction import build, explicit_params, paper_weighting
+from regfree.construction import build, explicit_params, paper_weighting, total_weight
 from regfree.fractional import (
     ColumnLimitExceeded,
     ZeroWeight,
@@ -105,6 +105,52 @@ class TestMwis:
             assert is_independent(g, vs)
 
 
+class TestMwisOnLayeredGraphs:
+    """The construction's shape: the greedy independent set the search
+    branches around is mostly B_1, which random graphs rarely produce."""
+
+    @pytest.mark.parametrize(
+        "sizes", [[8, 2], [12, 3], [8, 4, 2]], ids=lambda s: ",".join(map(str, s))
+    )
+    def test_matches_brute_force(self, sizes):
+        rng = random.Random(len(sizes) * 100 + sizes[0])
+        for seed in range(4):
+            lg = build(explicit_params(sizes, seed=seed))
+            g = lg.graph
+            sparse = {
+                v: Fraction(rng.choice((0, 0, rng.randint(1, 6))), rng.randint(1, 4))
+                for v in range(g.n)
+            }
+            for w in (paper_weighting(lg), sparse):
+                vs, best = mwis(g, w)
+                assert (best, vs) == brute_mwis(g, w)
+
+
+class TestMwisAtDeskScale:
+    """Values the search reaches at desk scale."""
+
+    @pytest.mark.parametrize(
+        "seed, weight", [(0, "389/256"), (1, "95/64"), (2, "49/32")]
+    )
+    def test_paper_weighting_256_64_16_4(self, seed, weight):
+        lg = build(explicit_params([256, 64, 16, 4], seed=seed))
+        w = paper_weighting(lg)
+        assert total_weight(w) == 4
+        assert chi_f_lower_bound(lg.graph, w) == 4 / Fraction(weight)
+
+    def test_unit_weights_96_24_6(self):
+        g = build(explicit_params([96, 24, 6], seed=0)).graph
+        vs, best = mwis(g, unit_weights(g))
+        assert best == 96 and is_independent(g, vs)
+        assert chi_f_lower_bound(g, unit_weights(g)) == Fraction(21, 16)
+
+    def test_long_unit_path(self):
+        g = path_graph(1000)
+        with shallow_stack():
+            vs, best = mwis(g, unit_weights(g))
+        assert best == 500 and vs == tuple(range(0, 1000, 2))
+
+
 class TestChiF:
     def test_complete_graphs(self):
         for n in range(1, 7):
@@ -183,6 +229,14 @@ class TestLowerBound:
     def test_zero_weight_rejected(self):
         with pytest.raises(ZeroWeight):
             chi_f_lower_bound(path_graph(2), {0: Fraction(0), 1: Fraction(0)})
+
+    @pytest.mark.parametrize(
+        "w", [{0: Fraction(1), 5: Fraction(3)}, {5: Fraction(3)}]
+    )
+    def test_weight_off_the_graph_rejected(self, w):
+        # summing the weight on vertex 5 would give 4 > chi_f(K2) = 2
+        with pytest.raises(ValueError, match="vertices 0..n-1"):
+            chi_f_lower_bound(complete_graph(2), w)
 
 
 class TestChromaticNumber:

@@ -1,17 +1,30 @@
-"""Dense tableau simplex over exact rationals.
+"""Dense tableau simplex over exact rationals, in integer arithmetic.
 
 Solves  max c.x  s.t.  A x <= b,  x >= 0  with b >= 0, so the all-slack
 basis is feasible and no phase one is needed.  Bland's rule precludes
 cycling.  Returns the optimum together with the dual solution (read off
 the slack columns), which is what the column-generation driver needs.
 
-Everything is a Fraction; sizes here are small, exactness beats speed.
+The tableau is fraction-free (Bareiss 1968, Edmonds 1967): every entry is
+an integer.  Each row of [A | b] is scaled by the lcm of its denominators,
+and so is its slack column, so the slack variable is the original one; c
+is scaled by its own lcm cs.  A row pivoted on holds the true tableau row
+times d, a shared positive denominator that is the last pivot element (1
+at the start), and the objective row holds the reduced costs times cs * d.
+A pivot on p keeps the pivot row and maps every other row, the objective
+row too, to (p * row - f * pivot row) / d, which is exact because every
+entry stays a minor of the scaled input, up to sign; then d = p.  A row
+with f = 0 is left as it is when p = d.  Every row is a positive multiple
+of the true one, so signs and ratios within a row are those of a Fraction
+tableau: Bland's rule and the ratio test pick the same pivots, and the
+solution read off at the end is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class Unbounded(Exception):
@@ -25,57 +38,67 @@ class LpSolution:
     duals: list[Fraction]  # one per row
 
 
+def _integer_row(values) -> tuple[list[int], int]:
+    """The values times the lcm s of their denominators, and s."""
+    qs = [v if isinstance(v, int) else Fraction(v) for v in values]
+    s = lcm(*{q.denominator for q in qs})
+    return [q.numerator * (s // q.denominator) for q in qs], s
+
+
 def solve_max(A, b, c) -> LpSolution:
     m = len(A)
     n = len(c)
     if any(bi < 0 for bi in b):
         raise ValueError("need b >= 0 for the slack basis to be feasible")
-    zero = Fraction(0)
     # columns: 0..n-1 structural, n..n+m-1 slack; last column is b
-    tab = [
-        [Fraction(A[i][j]) for j in range(n)]
-        + [Fraction(1) if r == i else zero for r in range(m)]
-        + [Fraction(b[i])]
-        for i in range(m)
-    ]
-    # objective row holds reduced costs of a max problem (pivot until <= 0)
-    obj = [Fraction(c[j]) for j in range(n)] + [zero] * m + [zero]
+    tab = []
+    for i in range(m):
+        row, s = _integer_row([A[i][j] for j in range(n)] + [b[i]])
+        tab.append(row[:n] + [s if r == i else 0 for r in range(m)] + row[n:])
+    # objective row holds cs * d times the reduced costs of a max problem
+    # (pivot until <= 0)
+    obj, cs = _integer_row(c)
+    obj += [0] * (m + 1)
     basis = list(range(n, n + m))
+    d = 1
 
     while True:
         # Bland: entering = lowest-index column with positive reduced cost
         enter = next((j for j in range(n + m) if obj[j] > 0), None)
         if enter is None:
             break
-        # ratio test; Bland tie-break on lowest basis variable
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
+        # ratio test by cross-multiplying (denominators are positive);
+        # Bland tie-break on lowest basis variable
+        leave, num, den = None, 0, 1
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                diff = row[-1] * den - num * a  # sign of ratio - best ratio
+                if leave is None or diff < 0 or (
+                    diff == 0 and basis[i] < basis[leave]
                 ):
-                    best = ratio
-                    leave = i
+                    leave, num, den = i, row[-1], a
         if leave is None:
             raise Unbounded
-        piv = tab[leave][enter]
-        row = tab[leave]
-        tab[leave] = [v / piv for v in row]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * p for a, p in zip(tab[i], tab[leave])]
+        prow = tab[leave]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                if f:
+                    tab[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+                elif p != d:
+                    tab[i] = [p * v // d for v in row]
         f = obj[enter]
-        obj = [a - f * p for a, p in zip(obj, tab[leave])]
+        obj = [(p * v - f * w) // d for v, w in zip(obj, prow)]
         basis[leave] = enter
+        d = p
 
-    x = [zero] * n
-    for i, bv in enumerate(basis):
+    x = [Fraction(0)] * n
+    for row, bv in zip(tab, basis):
         if bv < n:
-            x[bv] = tab[i][-1]
-    value = sum(Fraction(c[j]) * x[j] for j in range(n))
+            x[bv] = Fraction(row[-1], d)
+    value = sum((Fraction(c[j]) * x[j] for j in range(n)), Fraction(0))
     # dual value of row i = negated reduced cost of its slack column
-    duals = [-obj[n + i] for i in range(m)]
+    duals = [Fraction(-obj[n + i], d * cs) for i in range(m)]
     return LpSolution(value=value, x=x, duals=duals)

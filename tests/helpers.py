@@ -1,6 +1,7 @@
 """Shared fixtures: named graphs, seeded random graphs, brute-force oracles
-kept deliberately independent of the library's algorithms, and an exact
-chromatic number for small graphs."""
+kept deliberately independent of the library's algorithms (a reference
+Fraction-tableau simplex and the chi_f oracle on it among them), and an
+exact chromatic number for small graphs."""
 
 from __future__ import annotations
 
@@ -168,6 +169,71 @@ def brute_mwis(g: Graph, w: dict[int, Fraction]):
         if wt > best or (wt == best and vs < best_set):
             best, best_set = wt, vs
     return best, best_set
+
+
+def reference_solve_max(A, b, c):
+    """max c.x s.t. A x <= b, x >= 0 (b >= 0) by a Fraction tableau with
+    Bland's rule, from the all-slack basis.  Returns (value, x, duals),
+    the duals read off the slack columns, or None when unbounded."""
+    m, n = len(A), len(c)
+    zero = Fraction(0)
+    # columns: 0..n-1 structural, n..n+m-1 slack; last column is b
+    tab = [
+        [Fraction(A[i][j]) for j in range(n)]
+        + [Fraction(1) if r == i else zero for r in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    obj = [Fraction(c[j]) for j in range(n)] + [zero] * m + [zero]
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return None
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * p for a, p in zip(tab[i], tab[leave])]
+        f = obj[enter]
+        obj = [a - f * p for a, p in zip(obj, tab[leave])]
+        basis[leave] = enter
+    x = [zero] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[i][-1]
+    value = sum((Fraction(c[j]) * x[j] for j in range(n)), zero)
+    return value, x, [-obj[n + i] for i in range(m)]
+
+
+def chi_f_oracle(g: Graph) -> Fraction:
+    """chi_f by the covering LP over every maximal independent set (full
+    column enumeration), solved through its packing dual by the reference
+    simplex.  A cover can move each set's weight onto a maximal superset,
+    so the optimum over all independent sets is the same."""
+    adj = adjacency_masks(g)
+    cols = [
+        mask
+        for mask in range(1, 1 << g.n)
+        if not any(mask >> v & 1 and adj[v] & mask for v in range(g.n))
+        and all(mask >> v & 1 or adj[v] & mask for v in range(g.n))
+    ]
+    a = [[mask >> v & 1 for v in range(g.n)] for mask in cols]
+    value, _, _ = reference_solve_max(a, [1] * len(cols), [1] * g.n)
+    return value
 
 
 def brute_k_regular_exists(g: Graph, k: int) -> bool:

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -13,11 +12,11 @@ from regfree.fractional import (
     mwis,
 )
 from regfree.graph import Graph, is_independent
-from regfree.simplex import solve_max
 
 from helpers import (
     SizeLimit,
     brute_mwis,
+    chi_f_oracle,
     chromatic_number_exact,
     complete_graph,
     cycle_graph,
@@ -30,20 +29,6 @@ from helpers import (
 
 def unit_weights(g: Graph):
     return {v: Fraction(1) for v in range(g.n)}
-
-
-def chi_f_oracle(g: Graph):
-    """Full covering LP over every independent set, via the packing dual
-    (column enumeration instead of column generation)."""
-    cols = [
-        vs
-        for r in range(1, g.n + 1)
-        for vs in combinations(range(g.n), r)
-        if is_independent(g, vs)
-    ]
-    a = [[1 if v in col else 0 for v in range(g.n)] for col in cols]
-    sol = solve_max(a, [Fraction(1)] * len(cols), [Fraction(1)] * g.n)
-    return sol.value
 
 
 class TestMwis:

@@ -5,6 +5,8 @@ import pytest
 
 from regfree.simplex import LpSolution, Unbounded, solve_max
 
+from helpers import random_graph, reference_solve_max
+
 
 def F(x):
     return Fraction(x)
@@ -77,3 +79,72 @@ class TestSolveMax:
         sol = solve_max([[1]], [F(1)], [F(1)])
         assert isinstance(sol, LpSolution)
         assert sol.duals == [F(1)]
+
+    def test_no_columns(self):
+        sol = solve_max([[1]], [1], [])
+        assert sol.value == 0 and type(sol.value) is Fraction
+        assert sol.x == [] and sol.duals == [F(0)]
+
+
+def assert_matches_reference(a, b, c):
+    """solve_max returns exactly the reference's value, x and duals, or
+    both find the LP unbounded."""
+    ref = reference_solve_max(a, b, c)
+    if ref is None:
+        with pytest.raises(Unbounded):
+            solve_max(a, b, c)
+    else:
+        sol = solve_max(a, b, c)
+        assert (sol.value, sol.x, sol.duals) == ref
+
+
+class TestAgainstReference:
+    def test_random_rational_lps(self):
+        # negative and zero entries in A and c; b >= 0 with zeros
+        rng = random.Random(31)
+
+        def q(lo, hi):
+            return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+
+        for _ in range(300):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            a = [[q(-3, 5) for _ in range(n)] for _ in range(m)]
+            b = [q(0, 6) if rng.random() < 0.7 else F(0) for _ in range(m)]
+            c = [q(-4, 6) if rng.random() < 0.8 else F(0) for _ in range(n)]
+            assert_matches_reference(a, b, c)
+
+    def test_degenerate_lps_with_ratio_ties(self):
+        # small integer entries and b in {0, 1, 2}: many ratio ties, which
+        # Bland's rule breaks on the smallest basis index
+        rng = random.Random(32)
+        for _ in range(300):
+            m, n = rng.randint(2, 8), rng.randint(2, 8)
+            a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+            b = [rng.choice([0, 1, 1, 2]) for _ in range(m)]
+            c = [rng.randint(-1, 3) for _ in range(n)]
+            assert_matches_reference(a, b, c)
+
+    @pytest.mark.parametrize("b", [[F(0), F(0)], [F(1), Fraction(1, 6)]])
+    def test_tie_broken_on_smallest_basis_index(self, b):
+        # both rows bound x at b0 / 2 = b1 * 3; the tie goes to row 0,
+        # whose slack has the smaller index, so row 0 carries the dual
+        sol = solve_max([[F(2)], [Fraction(1, 3)]], b, [F(1)])
+        assert sol.x == [b[0] / 2] and sol.duals == [Fraction(1, 2), F(0)]
+        assert_matches_reference([[F(2)], [Fraction(1, 3)]], b, [F(1)])
+
+    def test_covering_lps_of_column_generation(self):
+        # the packing dual chi_f_exact solves: 0/1 rows (independent sets),
+        # b = 1 and c = 1
+        rng = random.Random(33)
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(4, 9), 0.4)
+            cols = [
+                tuple(v for v in range(g.n) if mask >> v & 1)
+                for mask in range(1, 1 << g.n)
+                if not any(
+                    mask >> u & 1 and mask >> v & 1 for u, v in g.edges
+                )
+            ]
+            cols = rng.sample(cols, min(len(cols), 3 * g.n))
+            a = [[int(v in col) for v in range(g.n)] for col in cols]
+            assert_matches_reference(a, [1] * len(cols), [1] * g.n)

@@ -83,7 +83,7 @@ class TestAgainstBruteForce:
         for _ in range(60):
             n = rng.randint(3, 8)
             g = random_graph(rng, n, rng.uniform(0.3, 0.9))
-            for k in (2, 3, 4):
+            for k in (1, 2, 3, 4):
                 res = find_k_regular(g, k)
                 assert res.outcome in (FOUND, NOT_FOUND)
                 assert (res.outcome == FOUND) == brute_k_regular_exists(g, k)

@@ -66,6 +66,35 @@ class TestDetectorOrder:
             (64, 71), (64, 80), (64, 82), (65, 70), (65, 78), (65, 83),
         )
 
+    @pytest.mark.parametrize(
+        "seed, nodes, vertices",
+        [
+            (
+                0, 1845,
+                (
+                    0, 11, 44, 53, 68, 107, 145, 146, 151, 175, 178, 198,
+                    288, 297, 303, 317, 321, 322, 324, 327, 336, 337, 338, 339,
+                ),
+            ),
+            (
+                9, 6873,
+                (
+                    1, 16, 49, 66, 106, 126, 163, 172, 193, 196, 216, 227,
+                    256, 264, 280, 288, 321, 324, 326, 327, 336, 337, 338, 339,
+                ),
+            ),
+        ],
+    )
+    def test_found_at_desk_scale(self, seed, nodes, vertices):
+        """The two seeds of the benchmark's detector workload that find a
+        3-regular subgraph of the bipartite variant of 256,64,16,4 within
+        its 10,000-node budget."""
+        g = _bipartite([256, 64, 16, 4], seed)
+        res = find_k_regular(g, 3, budget=10_000)
+        assert (res.outcome, res.nodes_expanded) == (FOUND, nodes)
+        assert verify_witness(g, res.witness)
+        assert res.witness.vertices == vertices
+
 
 class TestDinicOrder:
     """Prefixes of ladder 32,8,2 (seed 0) where each max-flow runs several

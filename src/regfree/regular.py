@@ -6,10 +6,11 @@ exact: NotFound means a complete search proved nonexistence.
 
 Pipeline: restrict to the k-core (any k-regular subgraph lives inside it),
 split into connected components, then DFS over edge assignments with
-constraint propagation.  Vertex states: undecided / in / out; edge states:
-undecided / chosen / forbidden.  A vertex that cannot reach k available
-edges is excluded and the exclusion cascades, which is what collapses the
-layered construction instantly (its 4-core is empty).
+constraint propagation.  Only edges carry a state: undecided / chosen /
+forbidden.  A vertex is in the subgraph once it has a chosen edge, and out
+once it has none and too few undecided edges left to reach k.  Forbidding
+an out vertex's edges cascades, which is what collapses the layered
+construction instantly (its 4-core is empty).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ NOT_FOUND = "not_found"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 # search nodes: the k = 3 search on the 340-vertex ladder 256,64,16,4 expands
-# 6,000-8,000 nodes/s on one 2-vCPU core, so the default stops in about 15 s
+# 7,000-13,000 nodes/s on one 2-vCPU core, so the default stops in 8-14 s
 DEFAULT_BUDGET = 100_000
 
 
@@ -61,12 +62,13 @@ def verify_witness(g: Graph, w: RegularWitness) -> bool:
     return all(d == w.k for d in deg.values())
 
 
-# vertex states
-_UNDEC, _IN, _OUT = 0, 1, -1
-
-
 class _ComponentSearch:
-    """DFS with propagation on one connected component (local indices)."""
+    """DFS with propagation on one connected component (local indices).
+
+    A vertex's state is read from two counts: chosen[v], its chosen edges,
+    and avail[v], its undecided ones.  The trail lists the edges decided
+    since the root, so backtracking is undoing them in reverse.
+    """
 
     def __init__(self, g: Graph, k: int):
         self.g = g
@@ -76,22 +78,17 @@ class _ComponentSearch:
         for eid, (u, v) in enumerate(g.edges):
             self.inc[u].append(eid)
             self.inc[v].append(eid)
-        self.vstate = [_UNDEC] * n
         self.estate = [0] * len(g.edges)  # 0 undecided, 1 chosen, -1 forbidden
         self.chosen = [0] * n
         self.avail = [len(self.inc[v]) for v in range(n)]
-        self.trail: list[tuple[str, int]] = []
+        self.trail: list[int] = []
         # branch order: edges of high-degree vertices first
         self.vertex_order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
 
     # --- trail-based state changes ---------------------------------------
 
-    def _set_vstate(self, v: int, s: int):
-        self.trail.append(("v", v))
-        self.vstate[v] = s
-
     def _set_edge(self, eid: int, s: int):
-        self.trail.append(("e", eid))
+        self.trail.append(eid)
         self.estate[eid] = s
         u, v = self.g.edges[eid]
         self.avail[u] -= 1
@@ -102,67 +99,42 @@ class _ComponentSearch:
 
     def _undo_to(self, mark: int):
         while len(self.trail) > mark:
-            kind, idx = self.trail.pop()
-            if kind == "v":
-                self.vstate[idx] = _UNDEC
-            else:
-                u, v = self.g.edges[idx]
-                if self.estate[idx] == 1:
-                    self.chosen[u] -= 1
-                    self.chosen[v] -= 1
-                self.estate[idx] = 0
-                self.avail[u] += 1
-                self.avail[v] += 1
+            eid = self.trail.pop()
+            u, v = self.g.edges[eid]
+            if self.estate[eid] == 1:
+                self.chosen[u] -= 1
+                self.chosen[v] -= 1
+            self.estate[eid] = 0
+            self.avail[u] += 1
+            self.avail[v] += 1
 
     # --- propagation -------------------------------------------------------
 
     def _propagate(self, dirty: list[int]) -> bool:
         """Fixpoint propagation from the given dirty vertices; False on
-        contradiction."""
+        contradiction.  A rule only decides an edge the same way every
+        k-regular subgraph extending the current assignment does, so neither
+        the fixpoint nor whether it is contradictory depends on queue order."""
         k = self.k
         queue = list(dirty)
         while queue:
             v = queue.pop()
-            st = self.vstate[v]
             ch, av = self.chosen[v], self.avail[v]
-            if st == _OUT:
-                if ch > 0:
-                    return False
-                for eid in self.inc[v]:
-                    if self.estate[eid] == 0:
-                        self._set_edge(eid, -1)
-                        u, w = self.g.edges[eid]
-                        queue.append(u if u != v else w)
-                continue
-            if st == _UNDEC:
-                if ch > 0:
-                    self._set_vstate(v, _IN)
-                    st = _IN
-                elif ch + av < k:
-                    self._set_vstate(v, _OUT)
-                    queue.append(v)
-                    continue
-                else:
-                    continue
-            # st == _IN
-            if ch > k or ch + av < k:
+            if ch > k or (ch > 0 and ch + av < k):
                 return False
-            if ch == k and av > 0:
-                for eid in self.inc[v]:
-                    if self.estate[eid] == 0:
-                        self._set_edge(eid, -1)
-                        u, w = self.g.edges[eid]
-                        queue.append(u if u != v else w)
-            elif ch + av == k and av > 0:
-                for eid in self.inc[v]:
-                    if self.estate[eid] == 0:
-                        self._set_edge(eid, 1)
-                        u, w = self.g.edges[eid]
-                        other = u if u != v else w
-                        if self.vstate[other] == _OUT:
-                            return False
-                        queue.append(other)
-                        queue.append(v)
+            if av == 0:
+                continue
+            if ch == k or ch + av < k:  # full, or out
+                choice = -1
+            elif ch > 0 and ch + av == k:  # in, and needs every edge left
+                choice = 1
+            else:
+                continue
+            for eid in self.inc[v]:
+                if self.estate[eid] == 0:
+                    self._set_edge(eid, choice)
+                    u, w = self.g.edges[eid]
+                    queue.append(u if u != v else w)
         return True
 
     def _witness_here(self) -> Optional[RegularWitness]:
@@ -172,24 +144,19 @@ class _ComponentSearch:
         if not touched:
             return None
         if all(self.chosen[v] == self.k for v in touched):
-            vs = set(touched)
-            es = tuple(
-                self.g.edges[eid]
-                for eid in range(len(self.estate))
-                if self.estate[eid] == 1
-            )
-            return RegularWitness(tuple(sorted(vs)), es, self.k)
+            es = tuple(e for e, s in zip(self.g.edges, self.estate) if s == 1)
+            return RegularWitness(tuple(touched), es, self.k)
         return None
 
     def _pick_branch_edge(self) -> Optional[int]:
         # prefer completing a committed vertex, then descending degree
         for v in self.vertex_order:
-            if self.vstate[v] == _IN and self.chosen[v] < self.k:
+            if 0 < self.chosen[v] < self.k:
                 for eid in self.inc[v]:
                     if self.estate[eid] == 0:
                         return eid
         for v in self.vertex_order:
-            if self.vstate[v] == _UNDEC:
+            if self.chosen[v] == 0:
                 for eid in self.inc[v]:
                     if self.estate[eid] == 0:
                         return eid
@@ -239,19 +206,16 @@ def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResu
     core_g, core_map = induced_subgraph(g, core)
     nodes = 0
     for comp in connected_components(core_g):
-        comp_g, comp_map = induced_subgraph(core_g, comp)
-        w, used = _ComponentSearch(comp_g, k).search(budget - nodes)
+        # increasing, so the local order of vertices and edges is g's order
+        verts = [core_map[i] for i in comp]
+        w, used = _ComponentSearch(induced_subgraph(g, verts)[0], k).search(
+            budget - nodes
+        )
         nodes += used
         if nodes > budget:
             return SearchResult(BUDGET_EXCEEDED, None, nodes)
         if w is not None:
-            to_orig = [core_map[comp_map[i]] for i in range(comp_g.n)]
-            vs = tuple(sorted(to_orig[v] for v in w.vertices))
-            es = tuple(
-                sorted(
-                    tuple(sorted((to_orig[u], to_orig[v])))
-                    for u, v in w.edges
-                )
-            )
+            vs = tuple(verts[v] for v in w.vertices)
+            es = tuple((verts[u], verts[v]) for u, v in w.edges)
             return SearchResult(FOUND, RegularWitness(vs, es, k), nodes)
     return SearchResult(NOT_FOUND, None, nodes)

@@ -105,6 +105,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _check_names(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    for c in names:
+        if c not in ALL_CHECKS:
+            raise argparse.ArgumentTypeError(f"unknown check {c!r}")
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"a check is named twice in {text!r}")
+    return names
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -156,10 +166,8 @@ def cmd_certify(args) -> int:
     threshold = args.threshold
     if args.k == 4:
         outcome = prefix_certificate_4reg(lg, threshold)
-    elif args.k == 3:
+    else:  # argparse's choices leave only 3
         outcome = prefix_certificate_3reg_bipartite(lg, threshold)
-    else:
-        raise ValueError("--k must be 3 or 4")
     doc = {
         "k": outcome.k,
         "threshold": frac_str(threshold),
@@ -406,16 +414,12 @@ def run_checks(sizes, seed: int, checks) -> dict:
 
 def cmd_sweep(args) -> int:
     explicit_params(args.sizes)  # a bad ladder fails every seed: reject it once
-    checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
-    for c in checks:
-        if c not in ALL_CHECKS:
-            raise ValueError(f"unknown check {c!r}")
     records = []
     inconclusive = False
     for seed in args.seeds:
         t0 = time.monotonic()
         try:
-            outcomes = run_checks(args.sizes, seed, checks)
+            outcomes = run_checks(args.sizes, seed, args.checks)
             error = None
         except Exception as exc:  # per-seed errors never abort the sweep
             outcomes, error = {}, repr(exc)
@@ -437,7 +441,7 @@ def cmd_sweep(args) -> int:
     with open(csv_path, "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(["check", "successes", "runs", "frequency"])
-        for c in checks:
+        for c in args.checks:
             runs = [rec["checks"][c] for rec in records if c in rec["checks"]]
             ok = sum(SWEEP_CHECKS[c].succeeded(r) for r in runs)
             wtr.writerow([c, ok, len(runs), (ok / len(runs)) if runs else ""])
@@ -466,9 +470,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("detect-regular", help="exact k-regular subgraph search")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_detect_regular)
 
@@ -483,7 +487,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lower-bound", action="store_true")
     p.add_argument("--weights", choices=("paper", "unit"), default="paper")
-    p.add_argument("--column-limit", type=int, default=10_000)
+    p.add_argument("--column-limit", type=_positive_int, default=10_000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_chif)
 
@@ -522,7 +526,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seeds", type=_seed_range, required=True, help="range lo:hi (hi exclusive)"
     )
-    p.add_argument("--checks", help=f"subset of {','.join(ALL_CHECKS)}")
+    p.add_argument(
+        "--checks",
+        type=_check_names,
+        default=ALL_CHECKS,
+        help=f"subset of {','.join(ALL_CHECKS)}",
+    )
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_sweep)
 

@@ -133,10 +133,7 @@ def _prefix_certificate(
         if i < 2:
             results.append(PrefixResult(i, 0, None, True, active, side_ok))
             continue
-        prefix = list(range(lg.layer_starts[i - 1]))
-        if not prefix:
-            results.append(PrefixResult(i, 0, None, True, active, side_ok))
-            continue
+        prefix = list(range(lg.layer_starts[i - 1]))  # holds all of B_1
         sub, _ = induced_subgraph(g, prefix)
         rep = max_density_subgraph(sub)
         below = rep.density < threshold

@@ -86,6 +86,18 @@ class TestUsageErrors:
             (["subsample", "--in", "g.json", "--p", "1/4", "--trials", "0"], "--trials"),
             (["subsample", "--in", "g.json", "--p", "1/4", "--trials", "-1"], "--trials"),
             (["sweep", "--sizes", "4,2", "--seeds", "5:3", "--out", "s"], "--seeds"),
+            (["detect-regular", "--k", "0", "--in", "g.json"], "--k"),
+            (["detect-regular", "--k", "4", "--in", "g.json", "--budget", "0"], "--budget"),
+            (["chif", "--in", "g.json", "--column-limit", "0"], "--column-limit"),
+            (["chif", "--in", "g.json", "--column-limit", "-3"], "--column-limit"),
+            # a repeated check would be run and summarised twice
+            (
+                [
+                    "sweep", "--sizes", "4,2", "--seeds", "0:1",
+                    "--checks", "degeneracy,degeneracy", "--out", "s",
+                ],
+                "--checks",
+            ),
         ],
     )
     def test_parse_error_names_its_input(self, argv, named, capsys):

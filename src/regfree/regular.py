@@ -207,10 +207,8 @@ def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResu
     nodes = 0
     for comp in connected_components(core_g):
         # increasing, so the local order of vertices and edges is g's order
-        verts = [core_map[i] for i in comp]
-        w, used = _ComponentSearch(induced_subgraph(g, verts)[0], k).search(
-            budget - nodes
-        )
+        sub, verts = induced_subgraph(g, [core_map[i] for i in comp])
+        w, used = _ComponentSearch(sub, k).search(budget - nodes)
         nodes += used
         if nodes > budget:
             return SearchResult(BUDGET_EXCEEDED, None, nodes)

@@ -131,6 +131,55 @@ def brute_k_core(g: Graph, k: int) -> list[int]:
     return [v for v in range(g.n) if best >> v & 1]
 
 
+def reference_degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(degeneracy, ordering) by a bucket-queue peel: delete a minimum-degree
+    vertex (ties: lowest index) until none is left, and reverse the deletion
+    order.  The library's earlier implementation, kept as an oracle."""
+    n = g.n
+    deg = [len(g.adj[v]) for v in range(n)]
+    removed = [False] * n
+    buckets: list[set[int]] = [set() for _ in range(n + 1)]
+    for v in range(n):
+        buckets[deg[v]].add(v)
+    deletion: list[int] = []
+    d = 0
+    cur = 0
+    for _ in range(n):
+        while cur <= n and not buckets[cur]:
+            cur += 1
+        v = min(buckets[cur])
+        buckets[cur].remove(v)
+        removed[v] = True
+        d = max(d, deg[v])
+        deletion.append(v)
+        for u in g.adj[v]:
+            if not removed[u]:
+                buckets[deg[u]].remove(u)
+                deg[u] -= 1
+                buckets[deg[u]].add(u)
+        cur = max(cur - 1, 0)
+    return d, tuple(reversed(deletion))
+
+
+def reference_k_core(g: Graph, k: int) -> list[int]:
+    """The k-core by a stack peel of every vertex whose degree drops below
+    k.  The library's earlier implementation, kept as an oracle."""
+    deg = [len(g.adj[v]) for v in range(g.n)]
+    alive = [True] * g.n
+    stack = [v for v in range(g.n) if deg[v] < k]
+    while stack:
+        v = stack.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        for u in g.adj[v]:
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] < k:
+                    stack.append(u)
+    return [v for v in range(g.n) if alive[v]]
+
+
 def brute_triangle_exists(g: Graph) -> bool:
     return any(
         g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)

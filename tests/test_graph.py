@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regfree.construction import bipartite_variant, build, explicit_params
 from regfree.graph import (
     Graph,
     GraphError,
@@ -26,6 +27,8 @@ from helpers import (
     path_graph,
     random_graph,
     random_tree,
+    reference_degeneracy,
+    reference_k_core,
 )
 
 
@@ -183,6 +186,29 @@ class TestKCore:
                         sum(1 for u in g.adj[x] if u in bigger) < k
                         for x in bigger
                     )
+
+
+class TestPeelMatchesReference:
+    """degeneracy and k_core against the bucket-queue and stack peels they
+    replaced: the same ordering, value and cores, tie-breaks included."""
+
+    @staticmethod
+    def assert_matches(g):
+        d, ordering = degeneracy(g)
+        assert (d, ordering.order) == reference_degeneracy(g)
+        for k in range(7):
+            assert k_core(g, k) == reference_k_core(g, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_small_graphs(self, g):
+        self.assert_matches(g)
+
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_tall_ladder(self, bipartite):
+        # 5,456 vertices with a nonempty 4-core: many ties at every degree
+        lg = build(explicit_params([4096, 1024, 256, 64, 16], seed=0))
+        self.assert_matches(bipartite_variant(lg) if bipartite else lg.graph)
 
 
 class TestIndependence:

@@ -11,6 +11,7 @@ construction and safe to share.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -156,58 +157,55 @@ class VertexOrdering:
         return True
 
 
-def degeneracy(g: Graph) -> tuple[int, VertexOrdering]:
-    """Degeneracy and a witnessing ordering.
+def _peel(g: Graph) -> tuple[list[int], list[int]]:
+    """Min-degree peel (Batagelj & Zaversnik 2003): delete a vertex of least
+    remaining degree, ties to the lowest index, until none is left.
 
-    Repeatedly deletes a minimum-degree vertex (ties: lowest index) and
-    reverses the deletion order; the degeneracy is the maximum degree seen
-    at deletion time.  Empty graph: (0, empty ordering).
+    Returns the deletion order and each vertex's core number, the largest
+    degree seen at a deletion up to and including its own.  A lazy heap of
+    (degree, vertex) holds an entry per degree change; entries whose degree
+    is no longer current are skipped when popped.
     """
-    n = g.n
-    deg = [len(g.adj[v]) for v in range(n)]
-    removed = [False] * n
-    # bucket queue over degrees
-    buckets: list[set[int]] = [set() for _ in range(n + 1)]
-    for v in range(n):
-        buckets[deg[v]].add(v)
-    deletion: list[int] = []
-    d = 0
-    cur = 0
-    for _ in range(n):
-        while cur <= n and not buckets[cur]:
-            cur += 1
-        v = min(buckets[cur])
-        buckets[cur].remove(v)
+    deg = [len(a) for a in g.adj]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * g.n
+    order: list[int] = []
+    core = [0] * g.n
+    top = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
         removed[v] = True
-        d = max(d, deg[v])
-        deletion.append(v)
+        order.append(v)
+        top = max(top, d)
+        core[v] = top
         for u in g.adj[v]:
             if not removed[u]:
-                buckets[deg[u]].remove(u)
                 deg[u] -= 1
-                buckets[deg[u]].add(u)
-        cur = max(cur - 1, 0)
-    return d, VertexOrdering(order=tuple(reversed(deletion)), back_degree_bound=d)
+                heapq.heappush(heap, (deg[u], u))
+    return order, core
+
+
+def degeneracy(g: Graph) -> tuple[int, VertexOrdering]:
+    """Degeneracy and a witnessing ordering: the min-degree peel's deletion
+    order reversed, so every vertex has at most the degeneracy of neighbours
+    before it, and the degeneracy is the largest core number.  Empty graph:
+    (0, empty ordering).
+    """
+    order, core = _peel(g)
+    d = max(core, default=0)
+    return d, VertexOrdering(order=tuple(reversed(order)), back_degree_bound=d)
 
 
 def k_core(g: Graph, k: int) -> list[int]:
-    """The unique maximal vertex set inducing minimum degree >= k (may be [])."""
+    """The unique maximal vertex set inducing minimum degree >= k (may be
+    []): the vertices whose core number is at least k, in increasing order."""
     if k < 0:
         raise GraphError("k must be nonnegative")
-    deg = [len(g.adj[v]) for v in range(g.n)]
-    alive = [True] * g.n
-    stack = [v for v in range(g.n) if deg[v] < k]
-    while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for u in g.adj[v]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] < k:
-                    stack.append(u)
-    return [v for v in range(g.n) if alive[v]]
+    _, core = _peel(g)
+    return [v for v in range(g.n) if core[v] >= k]
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

@@ -68,6 +68,11 @@ class _ComponentSearch:
     A vertex's state is read from two counts: chosen[v], its chosen edges,
     and avail[v], its undecided ones.  The trail lists the edges decided
     since the root, so backtracking is undoing them in reverse.
+
+    Nodes are propagation fixpoints, so a vertex with 0 < chosen < k has
+    more than k - chosen undecided edges.  One scan of vertex_order per node
+    branches on the first such vertex; without one, any chosen edge means the
+    chosen edges form a witness, else it branches on the first undecided edge.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -137,30 +142,26 @@ class _ComponentSearch:
                     queue.append(u if u != v else w)
         return True
 
-    def _witness_here(self) -> Optional[RegularWitness]:
-        """A valid witness exists in the current partial assignment iff every
-        vertex touched by a chosen edge already has exactly k chosen edges."""
-        touched = [v for v in range(self.g.n) if self.chosen[v] > 0]
-        if not touched:
-            return None
-        if all(self.chosen[v] == self.k for v in touched):
-            es = tuple(e for e, s in zip(self.g.edges, self.estate) if s == 1)
-            return RegularWitness(tuple(touched), es, self.k)
-        return None
-
-    def _pick_branch_edge(self) -> Optional[int]:
-        # prefer completing a committed vertex, then descending degree
+    def _branch(self):
+        """One scan decides the node: an edge to branch on, a witness, or None."""
+        k, chosen, avail = self.k, self.chosen, self.avail
+        at, touched = None, False
         for v in self.vertex_order:
-            if 0 < self.chosen[v] < self.k:
-                for eid in self.inc[v]:
-                    if self.estate[eid] == 0:
-                        return eid
-        for v in self.vertex_order:
-            if self.chosen[v] == 0:
-                for eid in self.inc[v]:
-                    if self.estate[eid] == 0:
-                        return eid
-        return None
+            ch = chosen[v]
+            if ch:
+                if ch < k:
+                    at = v
+                    break
+                touched = True
+            elif at is None and avail[v]:
+                at = v
+        else:
+            if touched:  # every vertex with a chosen edge has k of them
+                vs = tuple(v for v in range(self.g.n) if chosen[v])
+                es = tuple(e for e, s in zip(self.g.edges, self.estate) if s == 1)
+                return RegularWitness(vs, es, k)
+        if at is not None:
+            return next(eid for eid in self.inc[at] if self.estate[eid] == 0)
 
     def search(self, budget: int) -> tuple[Optional[RegularWitness], int]:
         """(witness or None, nodes expanded).  Stops after budget + 1 nodes;
@@ -171,14 +172,12 @@ class _ComponentSearch:
             nodes += 1
             if nodes > budget:
                 return None, nodes
-            w = self._witness_here()
-            if w is not None:
-                return w, nodes
-            eid = self._pick_branch_edge()
-            if eid is not None:
+            pick = self._branch()
+            if isinstance(pick, RegularWitness):
+                return pick, nodes
+            if pick is not None:
                 mark = len(self.trail)
-                pending.append((eid, mark, -1))
-                pending.append((eid, mark, 1))  # chosen is tried first
+                pending += ((pick, mark, -1), (pick, mark, 1))  # chosen first
             while True:
                 if not pending:
                     return None, nodes

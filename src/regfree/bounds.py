@@ -34,20 +34,32 @@ class PrecisionError(ArithmeticError):
 
 
 def default_dps() -> int:
-    return int(os.environ.get("REGFREE_PRECISION", "50"))
+    text = os.environ.get("REGFREE_PRECISION", "50")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(
+            f"REGFREE_PRECISION must be an integer, got {text!r}"
+        ) from None
 
 
 def parse_real(expr: str) -> mp.mpf:
     """Parse 'e^e^40'-style tower notation ('^' right-associative, base 'e'
-    or a number) or a plain numeric literal."""
+    or a number) or a plain numeric literal; its value must be a finite
+    real."""
     parts = expr.strip().replace("(", "").replace(")", "").split("^")
     try:
         terms = [mp.e if t == "e" else mp.mpf(t) for t in parts]
     except ValueError:
         raise DomainError(f"cannot read {expr!r} as a real number") from None
     val = terms[-1]
-    for base in reversed(terms[:-1]):
-        val = mp.power(base, val)
+    try:
+        for base in reversed(terms[:-1]):
+            val = mp.power(base, val)
+    except MemoryError:  # mpmath refuses the exponent up front
+        raise DomainError(f"{expr!r} is too large to evaluate") from None
+    if isinstance(val, mp.mpc) or not mp.isfinite(val):
+        raise DomainError(f"{expr!r} is not a finite real number")
     return val
 
 

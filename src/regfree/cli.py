@@ -33,6 +33,7 @@ from .construction import (
 from .density import (
     CERTIFIED,
     INCONCLUSIVE,
+    THRESHOLD,
     prefix_certificate_3reg_bipartite,
     prefix_certificate_4reg,
 )
@@ -115,13 +116,27 @@ def _check_names(text: str) -> tuple[str, ...]:
     return names
 
 
-def _fraction(text: str) -> Fraction:
+def _probability(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        p = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational such as 1/4, got {text!r}"
         ) from None
+    if not 0 <= p <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return p
+
+
+def _n_literal(text: str) -> str:
+    """Checked, but kept a string: cmd_bounds reads it at its own precision."""
+    try:
+        n = bounds_mod.parse_real(text)
+    except bounds_mod.DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return text
 
 
 def _real_literal(text: str) -> str:
@@ -163,14 +178,13 @@ def cmd_detect_regular(args) -> int:
 def cmd_certify(args) -> int:
     g, layers = _read_graph(args.infile)
     lg = _layered(g, layers)
-    threshold = args.threshold
     if args.k == 4:
-        outcome = prefix_certificate_4reg(lg, threshold)
+        outcome = prefix_certificate_4reg(lg)
     else:  # argparse's choices leave only 3
-        outcome = prefix_certificate_3reg_bipartite(lg, threshold)
+        outcome = prefix_certificate_3reg_bipartite(lg)
     doc = {
         "k": outcome.k,
-        "threshold": frac_str(threshold),
+        "threshold": frac_str(THRESHOLD),
         "verdict": outcome.verdict,
         "prefixes": [
             {
@@ -479,7 +493,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="prefix density certificate")
     p.add_argument("--k", type=int, required=True, choices=(3, 4))
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--threshold", type=_fraction, default="11/10")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
@@ -499,9 +512,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subsample", help="triangle-free subsampling trials")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument(
-        "--p", type=_fraction, required=True, help="inclusion probability, e.g. 1/4"
+        "--p", type=_probability, required=True, help="inclusion probability, e.g. 1/4"
     )
-    p.add_argument("--threshold", type=int)
+    p.add_argument("--threshold", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--out")
@@ -511,7 +524,7 @@ def make_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="which", required=True)
     for which in ("reg", "frac", "union"):
         bp = bsub.add_parser(which)
-        bp.add_argument("--n", required=True, help="e.g. e^e^40")
+        bp.add_argument("--n", type=_n_literal, required=True, help="e.g. e^e^40")
         if which in ("reg", "frac"):
             bp.add_argument("--i", type=int, required=True)
         if which == "reg":

@@ -28,6 +28,10 @@ from .graph import Graph, induced_subgraph
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
 
+# the density bound the freeness argument needs: a larger one certifies
+# graphs that do have a 4-regular subgraph
+THRESHOLD = Fraction(11, 10)
+
 
 class EmptyGraph(ValueError):
     pass
@@ -53,7 +57,6 @@ class PrefixResult:
 @dataclass(frozen=True)
 class CertificateOutcome:
     k: int
-    threshold: Fraction
     prefixes: tuple[PrefixResult, ...]
     verdict: str  # CERTIFIED / INCONCLUSIVE
 
@@ -98,9 +101,7 @@ def max_density_subgraph(g: Graph) -> DensityReport:
     return DensityReport(tuple(best_set), e, best)
 
 
-def _prefix_certificate(
-    lg: LayeredGraph, g: Graph, k: int, threshold: Fraction
-) -> CertificateOutcome:
+def _prefix_certificate(lg: LayeredGraph, g: Graph, k: int) -> CertificateOutcome:
     sizes = lg.layer_sizes
     c = lg.num_layers
     n_v = lg.graph.n
@@ -136,30 +137,26 @@ def _prefix_certificate(
         prefix = list(range(lg.layer_starts[i - 1]))  # holds all of B_1
         sub, _ = induced_subgraph(g, prefix)
         rep = max_density_subgraph(sub)
-        below = rep.density < threshold
+        below = rep.density < THRESHOLD
         if not below:
             densities_ok = False
         results.append(
             PrefixResult(i, len(prefix), rep.density, below, active, side_ok)
         )
     verdict = CERTIFIED if (densities_ok and sides_ok) else INCONCLUSIVE
-    return CertificateOutcome(k, threshold, tuple(results), verdict)
+    return CertificateOutcome(k, tuple(results), verdict)
 
 
-def prefix_certificate_4reg(
-    lg: LayeredGraph, threshold: Fraction = Fraction(11, 10)
-) -> CertificateOutcome:
+def prefix_certificate_4reg(lg: LayeredGraph) -> CertificateOutcome:
     """Certified implies lg.graph has no 4-regular subgraph."""
-    return _prefix_certificate(lg, lg.graph, 4, threshold)
+    return _prefix_certificate(lg, lg.graph, 4)
 
 
-def prefix_certificate_3reg_bipartite(
-    lg: LayeredGraph, threshold: Fraction = Fraction(11, 10)
-) -> CertificateOutcome:
+def prefix_certificate_3reg_bipartite(lg: LayeredGraph) -> CertificateOutcome:
     """Certified implies bipartite_variant(lg) has no 3-regular subgraph.
 
     The case analysis for the bipartite variant (splitting on whether at
     least 0.9s of the subgraph sits in the prefix) lands on the same
     prefix-density condition with the same 11/10 threshold, so the check is
     the shared one, run against the variant's edges."""
-    return _prefix_certificate(lg, bipartite_variant(lg), 3, threshold)
+    return _prefix_certificate(lg, bipartite_variant(lg), 3)

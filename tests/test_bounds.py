@@ -27,6 +27,11 @@ class TestParseReal:
     def test_parens_tolerated(self):
         assert mp.almosteq(parse_real("e^(e^2)"), mp.exp(mp.exp(2)))
 
+    @pytest.mark.parametrize("expr", ["inf", "-inf", "nan", "(-2)^0.5", "e^e^e^e^40"])
+    def test_only_finite_reals(self, expr):
+        with pytest.raises(DomainError, match="finite real|too large"):
+            parse_real(expr)
+
 
 class TestRegChain:
     def test_holds_in_regime(self):

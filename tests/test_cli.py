@@ -81,7 +81,8 @@ class TestUsageErrors:
             (["bounds", "reg", "--n", "e^^3", "--i", "2", "--x", "10"], "e^^3"),
             (["bounds", "frac", "--n", "e^e^40", "--i", "1", "--p-i", "abc"], "--p-i"),
             (["subsample", "--in", "g.json", "--p", "abc"], "--p"),
-            (["certify", "--k", "4", "--in", "g.json", "--threshold", "abc"], "--threshold"),
+            # the certificate's threshold is fixed: a larger one is unsound
+            (["certify", "--k", "4", "--in", "g.json", "--threshold", "3"], "--threshold"),
             # empty runs
             (["subsample", "--in", "g.json", "--p", "1/4", "--trials", "0"], "--trials"),
             (["subsample", "--in", "g.json", "--p", "1/4", "--trials", "-1"], "--trials"),
@@ -98,6 +99,14 @@ class TestUsageErrors:
                 ],
                 "--checks",
             ),
+            # each used to escape as an mpmath or int() message, or a bare one
+            (["bounds", "reg", "--n", "-5", "--i", "2", "--x", "10"], "--n"),
+            (["bounds", "reg", "--n", "(-2)^0.5", "--i", "2", "--x", "10"], "--n"),
+            (["bounds", "union", "--n", "inf"], "--n"),
+            (["bounds", "union", "--n", "nan"], "--n"),
+            (["bounds", "union", "--n", "e^e^e^e^40"], "--n"),
+            (["subsample", "--in", "g.json", "--p", "1/4", "--threshold", "0"], "--threshold"),
+            (["subsample", "--in", "g.json", "--p", "5/4"], "--p"),
         ],
     )
     def test_parse_error_names_its_input(self, argv, named, capsys):
@@ -263,6 +272,12 @@ class TestBoundsCmd:
             ["bounds", "reg", "--n", "e^e^11", "--i", "2", "--x", "10"], capsys
         )
         assert code == EXIT_ERROR and out == "" and "20 digits" in err
+
+    def test_bad_precision_is_named(self, capsys, monkeypatch):
+        # used to escape as int()'s "invalid literal" message
+        monkeypatch.setenv("REGFREE_PRECISION", "abc")
+        code, out, err = run(["bounds", "union", "--n", "e^e^40"], capsys)
+        assert code == EXIT_ERROR and out == "" and "REGFREE_PRECISION" in err
 
     def test_failing_chain_is_inconclusive(self, capsys):
         code, out, _ = run(

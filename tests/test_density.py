@@ -13,7 +13,7 @@ from regfree.density import (
     prefix_certificate_4reg,
 )
 from regfree.graph import Graph, induced_subgraph
-from regfree.regular import NOT_FOUND, find_k_regular
+from regfree.regular import FOUND, NOT_FOUND, find_k_regular, verify_witness
 
 from helpers import (
     brute_max_density,
@@ -128,7 +128,10 @@ class TestPrefixCertificates:
                 if out.verdict == CERTIFIED:
                     assert find_k_regular(lg.graph, 4).outcome == NOT_FOUND
 
-    def test_threshold_is_reported(self):
-        lg = build(explicit_params([64, 16], seed=0))
-        out = prefix_certificate_4reg(lg, threshold=Fraction(2))
-        assert out.threshold == Fraction(2)
+    def test_instance_with_a_4_regular_subgraph_is_inconclusive(self):
+        # the detector finds a 4-regular subgraph here, so a Certified verdict
+        # would be false; a density threshold of 3 used to certify it
+        lg = build(explicit_params([8, 8, 8, 8, 8, 8], seed=1))
+        res = find_k_regular(lg.graph, 4)
+        assert res.outcome == FOUND and verify_witness(lg.graph, res.witness)
+        assert prefix_certificate_4reg(lg).verdict == INCONCLUSIVE

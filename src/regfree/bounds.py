@@ -113,10 +113,12 @@ def _replay_args(n, log_n, dps: Optional[int]):
     if dps < 20:  # _tol sits 10 digits below dps and would pass every step
         raise DomainError(f"need a precision of at least 20 digits, got {dps}")
     if log_n is None:
+        if not mp.mpf(n) > 0:
+            raise DomainError(f"need n > 0, got {n}")
         with mp.workdps(2 * dps):  # the precision of the re-check
             log_n = mp.log(mp.mpf(n))
-    if mp.mpf(log_n) <= 1:
-        raise DomainError("need log log n > 0")
+    if not 1 < mp.mpf(log_n) < mp.inf:
+        raise DomainError("need log log n > 0 and n finite")
     return log_n, dps
 
 

@@ -70,9 +70,8 @@ class _ComponentSearch:
     since the root, so backtracking is undoing them in reverse.
 
     Nodes are propagation fixpoints, so a vertex with 0 < chosen < k has
-    more than k - chosen undecided edges.  One scan of vertex_order per node
-    branches on the first such vertex; without one, any chosen edge means the
-    chosen edges form a witness, else it branches on the first undecided edge.
+    more than k - chosen undecided edges.  _branch completes the first such
+    vertex in vertex_order; without one, any chosen edges form a witness.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -160,8 +159,9 @@ class _ComponentSearch:
                 vs = tuple(v for v in range(self.g.n) if chosen[v])
                 es = tuple(e for e, s in zip(self.g.edges, self.estate) if s == 1)
                 return RegularWitness(vs, es, k)
-        if at is not None:
-            return next(eid for eid in self.inc[at] if self.estate[eid] == 0)
+        if at is None:
+            return None
+        return next(eid for eid in self.inc[at] if self.estate[eid] == 0)
 
     def search(self, budget: int) -> tuple[Optional[RegularWitness], int]:
         """(witness or None, nodes expanded).  Stops after budget + 1 nodes;

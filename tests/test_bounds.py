@@ -133,6 +133,12 @@ class TestUnionBounds:
         with pytest.raises(DomainError):
             union_bounds(log_n=mp.mpf("1.5"))  # C <= 1
 
+    @pytest.mark.parametrize("n", [-5, 0, 2, mp.inf, mp.nan])
+    def test_n_outside_the_domain_rejected(self, n):
+        # -5 and inf used to escape as TypeError and ValueError
+        with pytest.raises(DomainError):
+            union_bounds(n=n)
+
 
 class TestPrecisionContract:
     def test_custom_dps_respected(self):

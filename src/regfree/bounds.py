@@ -1,4 +1,6 @@
-"""Line-by-line numeric replay of the displayed inequality chains.
+"""Line-by-line numeric replay of the displayed inequality chains, for
+e < n < inf: regime is the paper's sizing |B_i| = n^(1-20^i*eps) in log
+space, and read_log_n reads n for the replays.
 
 Everything is evaluated in log-space with mpmath at a configurable
 precision (REGFREE_PRECISION env var, default 50 significant digits, at
@@ -15,12 +17,10 @@ a second time at double precision; a verdict that flips is an error.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import mpmath as mp
-
-from .construction import regime
 
 NEG_INF = mp.mpf("-inf")
 
@@ -61,6 +61,55 @@ def parse_real(expr: str) -> mp.mpf:
     if isinstance(val, mp.mpc) or not mp.isfinite(val):
         raise DomainError(f"{expr!r} is not a finite real number")
     return val
+
+
+def _check_log_n(log_n) -> None:
+    """The replays' domain e < n < inf, stated on log n."""
+    if not 1 < mp.mpf(log_n) < mp.inf:
+        raise DomainError("need e < n < inf, i.e. 1 < log n < inf")
+
+
+def read_log_n(expr: str) -> mp.mpf:
+    """log n for n written as parse_real reads it, at the re-check's
+    precision 2 * default_dps(), so each replay pass rounds it to its own."""
+    with mp.workdps(2 * default_dps()):
+        log_n = mp.log(max(parse_real(expr), 0))  # log 0 = -inf: out of domain
+    _check_log_n(log_n)
+    return log_n
+
+
+@dataclass(frozen=True)
+class PaperRegime:
+    """Log-space view of the asymptotic parameterization (sizes as logs,
+    since the integers themselves are astronomically large).  Every field
+    carries the working precision it was computed at."""
+
+    log_n: mp.mpf
+    epsilon: mp.mpf
+    c_real: mp.mpf  # log log n / 10, before the floor
+    num_layers: int
+    log_layer_sizes: tuple = field(init=False)  # logs of the real |B_1|..|B_C|
+
+    def __post_init__(self):
+        logs = tuple(self.log_layer_size(i) for i in range(1, self.num_layers + 1))
+        object.__setattr__(self, "log_layer_sizes", logs)
+
+    def log_layer_size(self, i: int) -> mp.mpf:
+        """log|B_i| = (1 - 20^i * epsilon) * log n, for any i >= 1."""
+        return (1 - mp.power(20, i) * self.epsilon) * self.log_n
+
+
+def regime(log_n) -> PaperRegime:
+    """epsilon = 1/sqrt(log n), C = floor(log log n / 10) and log|B_i|, at the
+    caller's working precision, for log n > 1 (the replay checks it first).
+    C may be < 1 here; each replay checks the range it needs."""
+    log_n = mp.mpf(log_n)
+    eps = 1 / mp.sqrt(log_n)
+    c_real = mp.log(log_n) / 10
+    # snap float round-off below an integer boundary (e.g. log n given as a
+    # 53-bit approximation of e^10)
+    c = int(mp.floor(c_real * (1 + mp.mpf("1e-12"))))
+    return PaperRegime(log_n, eps, c_real, c)
 
 
 @dataclass(frozen=True)
@@ -105,36 +154,24 @@ def _report(steps, dps) -> ChainReport:
     return ChainReport(tuple(steps), first, dps)
 
 
-def _replay_args(n, log_n, dps: Optional[int]):
-    """log n and the working precision from a replay's public arguments."""
-    if (n is None) == (log_n is None):
-        raise DomainError("pass exactly one of n, log_n")
+def _step_verdicts(rep: ChainReport) -> list[bool]:
+    return [s.holds for s in rep.steps]
+
+
+def _replay(log_n, dps: Optional[int], build, verdicts=_step_verdicts):
+    """Check the domain, then build(regime(log_n), d) at d = dps and at
+    d = 2*dps digits; PrecisionError if the two sets of verdicts differ."""
     dps = default_dps() if dps is None else dps
     if dps < 20:  # _tol sits 10 digits below dps and would pass every step
         raise DomainError(f"need a precision of at least 20 digits, got {dps}")
-    if log_n is None:
-        if not mp.mpf(n) > 0:
-            raise DomainError(f"need n > 0, got {n}")
-        with mp.workdps(2 * dps):  # the precision of the re-check
-            log_n = mp.log(mp.mpf(n))
-    if not 1 < mp.mpf(log_n) < mp.inf:
-        raise DomainError("need log log n > 0 and n finite")
-    return log_n, dps
-
-
-def _with_reverification(build, verdicts, dps: int):
-    """build(dps) at dps and 2*dps digits; PrecisionError if verdicts differ."""
-    with mp.workdps(dps):
-        rep = build(dps)
-    with mp.workdps(2 * dps):
-        rep2 = build(2 * dps)
-    if verdicts(rep) != verdicts(rep2):
+    _check_log_n(log_n)
+    reps = []
+    for d in (dps, 2 * dps):
+        with mp.workdps(d):
+            reps.append(build(regime(log_n), d))
+    if verdicts(reps[0]) != verdicts(reps[1]):
         raise PrecisionError("verdicts changed at double precision")
-    return rep
-
-
-def _step_verdicts(rep: ChainReport) -> list[bool]:
-    return [s.holds for s in rep.steps]
+    return reps[0]
 
 
 def _log_binom_real(y, m: int):
@@ -151,15 +188,13 @@ def _log_binom_real(y, m: int):
     return total - mp.loggamma(m + 1)
 
 
-def reg_chain(n=None, *, log_n=None, i: int, x: int, dps: Optional[int] = None) -> ChainReport:
+def reg_chain(*, log_n, i: int, x: int, dps: Optional[int] = None) -> ChainReport:
     """Replay the regular-subgraph probability chain for event index i and
     subgraph size x (log-space values of the seven displayed expressions)."""
-    log_n, dps = _replay_args(n, log_n, dps)
-    if x < 1:
-        raise DomainError("x must be >= 1")
 
-    def build(dps):
-        reg = regime(log_n)
+    def build(reg, dps):
+        if x < 1:
+            raise DomainError("x must be >= 1")
         ln, eps = reg.log_n, reg.epsilon
         if not (2 <= i <= reg.num_layers + 1):
             raise DomainError(f"need 2 <= i <= C+1 = {reg.num_layers + 1}")
@@ -191,10 +226,10 @@ def reg_chain(n=None, *, log_n=None, i: int, x: int, dps: Optional[int] = None) 
             _step("exponent_vs_half_sqrt_logn", l6, l7),
         ], dps)
 
-    return _with_reverification(build, _step_verdicts, dps)
+    return _replay(log_n, dps, build)
 
 
-def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) -> ChainReport:
+def frac_chain(*, log_n, i: int, p_i, dps: Optional[int] = None) -> ChainReport:
     """Replay the independent-set probability chain for layer i and layer-i
     occupancy fraction p_i.
 
@@ -202,10 +237,8 @@ def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) ->
     not free parameters of the replay; their aggregate enters the chain at
     the documented boundary value 8 log C, and the elementwise inequality
     (1-t) <= e^{-t} behind the product bound is replayed at t = p_i."""
-    log_n, dps = _replay_args(n, log_n, dps)
 
-    def build(dps):
-        reg = regime(log_n)
+    def build(reg, dps):
         c_real = reg.c_real
         if c_real <= 1:
             raise DomainError("need C > 1 so log C > 0")
@@ -215,8 +248,8 @@ def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) ->
         log_c = mp.log(c_real)
         lo = log_c / c_real
         # fixed snap window so float inputs sitting on the boundary are
-        # accepted identically at every working precision
-        if p < lo * (1 - mp.mpf("1e-12")) or p > 1:
+        # accepted identically at every working precision; NaN is outside
+        if not lo * (1 - mp.mpf("1e-12")) <= p <= 1:
             raise DomainError("need (log C)/C <= p_i <= 1")
         p = max(p, lo)
         b_i = mp.exp(reg.log_layer_sizes[i - 1])
@@ -242,7 +275,7 @@ def frac_chain(n=None, *, log_n=None, i: int, p_i, dps: Optional[int] = None) ->
             _step("side_entropy", 1 + log_inv_p, 2 * log_c),
         ], dps)
 
-    return _with_reverification(build, _step_verdicts, dps)
+    return _replay(log_n, dps, build)
 
 
 @dataclass(frozen=True)
@@ -263,13 +296,11 @@ class UnionBoundsReport:
         )
 
 
-def union_bounds(n=None, *, log_n=None, dps: Optional[int] = None) -> UnionBoundsReport:
+def union_bounds(*, log_n, dps: Optional[int] = None) -> UnionBoundsReport:
     """Close the two union bounds: the geometric sum over subgraph sizes and
     the per-layer comparison |B_i| e^{-D |B_i|} <= e^{-sqrt(n)}."""
-    log_n, dps = _replay_args(n, log_n, dps)
 
-    def build(dps):
-        reg = regime(log_n)
+    def build(reg, dps):
         ln, c_real = reg.log_n, reg.c_real
         if c_real <= 1:
             raise DomainError("need C > 1 so log C > 0")
@@ -302,4 +333,4 @@ def union_bounds(n=None, *, log_n=None, dps: Optional[int] = None) -> UnionBound
     def verdicts(rep):
         return rep.closure_holds, rep.partial_matches, [h for *_, h in rep.per_layer]
 
-    return _with_reverification(build, verdicts, dps)
+    return _replay(log_n, dps, build, verdicts)

@@ -128,26 +128,24 @@ def _probability(text: str) -> Fraction:
     return p
 
 
-def _n_literal(text: str) -> str:
-    """Checked, but kept a string: cmd_bounds reads it at its own precision."""
+def _n_literal(text: str) -> mp.mpf:
+    """log n, read by bounds.read_log_n."""
     try:
-        n = bounds_mod.parse_real(text)
+        return bounds_mod.read_log_n(text)
     except bounds_mod.DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return text
 
 
 def _real_literal(text: str) -> str:
     """Checked, but kept a string: the replay reads it at its own precision."""
     try:
-        mp.mpf(text)
+        if mp.isfinite(mp.mpf(text)):
+            return text
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a real number such as 0.4, got {text!r}"
-        ) from None
-    return text
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite real number such as 0.4, got {text!r}"
+    )
 
 
 def cmd_construct(args) -> int:
@@ -302,19 +300,16 @@ def _chain_doc(rep) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    # read n at the re-check's precision; each replay pass rounds log n
-    with mp.workdps(2 * bounds_mod.default_dps()):
-        log_n = mp.log(bounds_mod.parse_real(args.n))
     if args.which == "reg":
-        rep = bounds_mod.reg_chain(log_n=log_n, i=args.i, x=args.x)
+        rep = bounds_mod.reg_chain(log_n=args.log_n, i=args.i, x=args.x)
         _emit_json(_chain_doc(rep), args.out)
         return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
     if args.which == "frac":
         # a string, so each replay pass reads p_i at its own precision
-        rep = bounds_mod.frac_chain(log_n=log_n, i=args.i, p_i=args.p_i)
+        rep = bounds_mod.frac_chain(log_n=args.log_n, i=args.i, p_i=args.p_i)
         _emit_json(_chain_doc(rep), args.out)
         return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
-    rep = bounds_mod.union_bounds(log_n=log_n)
+    rep = bounds_mod.union_bounds(log_n=args.log_n)
     doc = {
         "r": mp.nstr(rep.r, 30),
         "geometric_closed": mp.nstr(rep.geometric_closed, 30),
@@ -524,7 +519,8 @@ def make_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="which", required=True)
     for which in ("reg", "frac", "union"):
         bp = bsub.add_parser(which)
-        bp.add_argument("--n", type=_n_literal, required=True, help="e.g. e^e^40")
+        bp.add_argument("--n", dest="log_n", metavar="N", type=_n_literal,
+                        required=True, help="e.g. e^e^40")
         if which in ("reg", "frac"):
             bp.add_argument("--i", type=int, required=True)
         if which == "reg":

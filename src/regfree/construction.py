@@ -7,18 +7,14 @@ the edges around.  Layer sizes shrink geometrically.
 
 explicit_params takes an arbitrary non-increasing ladder of sizes; build
 draws the graph from it.  The paper's asymptotic sizing
-|B_i| = n^(1-20^i*eps) with eps = 1/sqrt(log n) and C = floor(log log n / 10)
-is only usable in log space: any n with C >= 1 already has layer sizes
-with thousands of digits.  regime is that log-space view, shared with the
+|B_i| = n^(1-20^i*eps) is only usable in log space, so it lives with the
 inequality replay in bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .graph import Graph
 from .rng import SplitMix64
@@ -49,42 +45,6 @@ class ConstructionParams:
 
     def __post_init__(self):
         check_ladder(self.layer_sizes)
-
-
-@dataclass(frozen=True)
-class PaperRegime:
-    """Log-space view of the asymptotic parameterization (sizes as logs,
-    since the integers themselves are astronomically large).  Every field
-    carries the working precision it was computed at."""
-
-    log_n: mp.mpf
-    epsilon: mp.mpf
-    c_real: mp.mpf  # log log n / 10, before the floor
-    num_layers: int
-    log_layer_sizes: tuple = field(init=False)  # logs of the real |B_1|..|B_C|
-
-    def __post_init__(self):
-        logs = tuple(self.log_layer_size(i) for i in range(1, self.num_layers + 1))
-        object.__setattr__(self, "log_layer_sizes", logs)
-
-    def log_layer_size(self, i: int) -> mp.mpf:
-        """log|B_i| = (1 - 20^i * epsilon) * log n, for any i >= 1."""
-        return (1 - mp.power(20, i) * self.epsilon) * self.log_n
-
-
-def regime(log_n) -> PaperRegime:
-    """epsilon = 1/sqrt(log n), C = floor(log log n / 10) and log|B_i|, at the
-    caller's working precision (the inequality replay re-runs it at twice the
-    digits).  C may be < 1 here; each replay checks the range it needs."""
-    log_n = mp.mpf(log_n)
-    if log_n <= 1:
-        raise ParamError("need log log n > 0, i.e. n > e")
-    eps = 1 / mp.sqrt(log_n)
-    c_real = mp.log(log_n) / 10
-    # snap float round-off below an integer boundary (e.g. log n given as a
-    # 53-bit approximation of e^10)
-    c = int(mp.floor(c_real * (1 + mp.mpf("1e-12"))))
-    return PaperRegime(log_n, eps, c_real, c)
 
 
 def explicit_params(layer_sizes, seed: int = 0) -> ConstructionParams:

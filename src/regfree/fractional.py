@@ -44,11 +44,13 @@ class FractionalColoring:
     value: Fraction
 
     def validate(self, g: Graph) -> bool:
-        """Re-check independence of every column and coverage >= 1."""
+        """Re-check that every column is an independent set of distinct
+        vertices of g, and coverage >= 1."""
         cover = [Fraction(0)] * g.n
         total = Fraction(0)
         for vs, coeff in self.columns:
-            if coeff < 0 or not is_independent(g, vs):
+            in_range = {v for v in vs if 0 <= v < g.n}
+            if coeff < 0 or len(in_range) < len(vs) or not is_independent(g, vs):
                 return False
             total += coeff
             for v in vs:

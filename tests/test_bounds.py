@@ -6,7 +6,9 @@ from regfree.bounds import (
     NEG_INF,
     frac_chain,
     parse_real,
+    read_log_n,
     reg_chain,
+    regime,
     union_bounds,
 )
 
@@ -31,6 +33,36 @@ class TestParseReal:
     def test_only_finite_reals(self, expr):
         with pytest.raises(DomainError, match="finite real|too large"):
             parse_real(expr)
+
+
+class TestPaperRegime:
+    def test_rejects_small_n(self):
+        with pytest.raises(DomainError):
+            union_bounds(log_n=mp.mpf("0.5"))
+        with mp.workdps(50):
+            assert regime(mp.exp(5)).num_layers == 0  # below the regime
+
+    def test_e_to_e40(self):
+        with mp.workdps(50):
+            r = regime(mp.exp(40))
+            assert r.num_layers == 4
+            assert mp.almosteq(r.epsilon, mp.exp(-20))
+            # log|B_i| = (1 - 20^i eps) e^40
+            for i, lb in enumerate(r.log_layer_sizes, start=1):
+                expect = (1 - mp.power(20, i) * mp.exp(-20)) * mp.exp(40)
+                assert mp.almosteq(lb, expect)
+        # sizes shrink with i
+        assert all(
+            a > b for a, b in zip(r.log_layer_sizes, r.log_layer_sizes[1:])
+        )
+
+    def test_boundary_snap(self):
+        # a 53-bit float for e^10 sits just below the C = 1 boundary;
+        # the snap must still give C = 1
+        import math
+
+        with mp.workdps(50):
+            assert regime(math.exp(10)).num_layers == 1
 
 
 class TestRegChain:
@@ -66,8 +98,6 @@ class TestRegChain:
             reg_chain(log_n=LOG_N_40, i=7, x=10)  # i > C+1
         with pytest.raises(DomainError):
             reg_chain(log_n=LOG_N_40, i=2, x=0)
-        with pytest.raises(DomainError):
-            reg_chain(n=100, log_n=LOG_N_40, i=2, x=1)
 
     def test_monotone_along_the_chain(self):
         # the displayed quantities are a chain: each step's right side is the
@@ -108,6 +138,11 @@ class TestFracChain:
         rep = frac_chain(log_n=LOG_N_40, i=1, p_i=mp.mpf(1))
         assert rep.steps[0].left == NEG_INF and rep.steps[0].holds
 
+    def test_nan_p_rejected(self):
+        # used to slip past the range check and report a first step that holds
+        with pytest.raises(DomainError):
+            frac_chain(log_n=LOG_N_40, i=1, p_i="nan")
+
 
 class TestUnionBounds:
     def test_closes_in_regime(self):
@@ -133,11 +168,11 @@ class TestUnionBounds:
         with pytest.raises(DomainError):
             union_bounds(log_n=mp.mpf("1.5"))  # C <= 1
 
-    @pytest.mark.parametrize("n", [-5, 0, 2, mp.inf, mp.nan])
+    @pytest.mark.parametrize("n", ["-5", "0", "2", "e", "inf", "nan"])
     def test_n_outside_the_domain_rejected(self, n):
-        # -5 and inf used to escape as TypeError and ValueError
+        # the domain is e < n < inf, checked as n is read
         with pytest.raises(DomainError):
-            union_bounds(n=n)
+            union_bounds(log_n=read_log_n(n))
 
 
 class TestPrecisionContract:
@@ -146,10 +181,11 @@ class TestPrecisionContract:
         assert rep.dps == 30
 
     def test_integer_n_read_at_recheck_precision(self):
-        n = 10**10000
         with mp.workdps(100):
-            log_n = mp.log(n)
-        assert reg_chain(n=n, i=2, x=10) == reg_chain(log_n=log_n, i=2, x=10)
+            log_n = mp.log(10**10000)
+        read = read_log_n("10^10000")
+        assert read == log_n
+        assert reg_chain(log_n=read, i=2, x=10) == reg_chain(log_n=log_n, i=2, x=10)
 
     @pytest.mark.parametrize("dps", [0, 5, 19])
     def test_precision_floor(self, dps, monkeypatch):

@@ -107,6 +107,12 @@ class TestUsageErrors:
             (["bounds", "union", "--n", "e^e^e^e^40"], "--n"),
             (["subsample", "--in", "g.json", "--p", "1/4", "--threshold", "0"], "--threshold"),
             (["subsample", "--in", "g.json", "--p", "5/4"], "--p"),
+            # a NaN p_i reached the replay and reported a step that holds
+            (["bounds", "frac", "--n", "e^e^40", "--i", "1", "--p-i", "nan"], "--p-i"),
+            (["bounds", "frac", "--n", "e^e^40", "--i", "1", "--p-i", "inf"], "--p-i"),
+            # below the replay's domain e < n
+            (["bounds", "union", "--n", "2"], "--n"),
+            (["bounds", "union", "--n", "e"], "--n"),
         ],
     )
     def test_parse_error_names_its_input(self, argv, named, capsys):

@@ -8,15 +8,12 @@ from regfree.construction import (
     build,
     explicit_params,
     paper_weighting,
-    regime,
     total_weight,
 )
 from regfree.graph import degeneracy
 from regfree.rng import SplitMix64
 
 from fractions import Fraction
-
-import mpmath as mp
 
 DESK = [256, 64, 16, 4]
 
@@ -29,36 +26,6 @@ class TestParams:
     def test_nonpositive_rejected(self):
         with pytest.raises(ParamError):
             explicit_params([4, 0])
-
-
-class TestPaperRegime:
-    def test_rejects_small_n(self):
-        with pytest.raises(ParamError):
-            regime(mp.mpf("0.5"))
-        with mp.workdps(50):
-            assert regime(mp.exp(5)).num_layers == 0  # below the regime
-
-    def test_e_to_e40(self):
-        with mp.workdps(50):
-            r = regime(mp.exp(40))
-            assert r.num_layers == 4
-            assert mp.almosteq(r.epsilon, mp.exp(-20))
-            # log|B_i| = (1 - 20^i eps) e^40
-            for i, lb in enumerate(r.log_layer_sizes, start=1):
-                expect = (1 - mp.power(20, i) * mp.exp(-20)) * mp.exp(40)
-                assert mp.almosteq(lb, expect)
-        # sizes shrink with i
-        assert all(
-            a > b for a, b in zip(r.log_layer_sizes, r.log_layer_sizes[1:])
-        )
-
-    def test_boundary_snap(self):
-        # a 53-bit float for e^10 sits just below the C = 1 boundary;
-        # the snap must still give C = 1
-        import math
-
-        with mp.workdps(50):
-            assert regime(math.exp(10)).num_layers == 1
 
 
 class TestBuild:

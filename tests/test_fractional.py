@@ -6,6 +6,7 @@ import pytest
 from regfree.construction import build, explicit_params, paper_weighting, total_weight
 from regfree.fractional import (
     ColumnLimitExceeded,
+    FractionalColoring,
     ZeroWeight,
     chi_f_exact,
     chi_f_lower_bound,
@@ -180,6 +181,20 @@ class TestChiF:
         with pytest.raises(ColumnLimitExceeded) as exc:
             chi_f_exact(petersen_graph(), column_limit=10)
         assert exc.value.lower <= Fraction(5, 2) <= exc.value.upper
+
+    @pytest.mark.parametrize(
+        "g, columns, value",
+        [
+            # a repeated vertex covers it twice: "chi_f(K1) = 1/2"
+            (complete_graph(1), (((0, 0), Fraction(1, 2)),), Fraction(1, 2)),
+            # -1 would index vertex 1
+            (complete_graph(2), (((0, -1), Fraction(1)),), Fraction(1)),
+            # 5 is not a vertex of K2
+            (complete_graph(2), (((5,), Fraction(1)),), Fraction(1)),
+        ],
+    )
+    def test_validate_rejects_bad_vertex_ids(self, g, columns, value):
+        assert not FractionalColoring(columns, value).validate(g)
 
     def test_dual_witness_packs(self):
         # the dual weights form a fractional clique: every independent set

@@ -46,10 +46,18 @@ def default_dps() -> int:
 def parse_real(expr: str) -> mp.mpf:
     """Parse 'e^e^40'-style tower notation ('^' right-associative, base 'e'
     or a number) or a plain numeric literal; its value must be a finite
-    real."""
-    parts = expr.strip().replace("(", "").replace(")", "").split("^")
+    real.  Parentheses may only stand where dropping them keeps the value:
+    around a single term, as in (-2)^0.5, or around a part that runs to the
+    end of the text, as in e^(e^40)."""
+    parts = expr.strip().split("^")
+    # the '(' before and ')' after each term: before the last term a ')'
+    # closes only a '(' of its own term, and the last term closes the rest
+    parens = [(len(p) - len(p.lstrip("(")), len(p) - len(p.rstrip(")"))) for p in parts]
+    if any(c > o for o, c in parens[:-1]) or sum(o - c for o, c in parens):
+        raise DomainError(f"misplaced parentheses in {expr!r}")
     try:
-        terms = [mp.e if t == "e" else mp.mpf(t) for t in parts]
+        terms = [mp.e if t == "e" else mp.mpf(t)
+                 for t in (p.lstrip("(").rstrip(")") for p in parts)]
     except ValueError:
         raise DomainError(f"cannot read {expr!r} as a real number") from None
     val = terms[-1]

@@ -62,6 +62,13 @@ def _layered(g: Graph, layers) -> LayeredGraph:
     return LayeredGraph(g, layers)
 
 
+def _weights(g: Graph, layers) -> dict[int, Fraction]:
+    """The paper weighting when the file has layers, else unit weights."""
+    if layers is None:
+        return {v: Fraction(1) for v in range(g.n)}
+    return paper_weighting(LayeredGraph(g, layers))
+
+
 def _emit(text: str, out_path=None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -203,10 +210,7 @@ def cmd_certify(args) -> int:
 def cmd_chif(args) -> int:
     g, layers = _read_graph(args.infile)
     if args.lower_bound:
-        if args.weights == "paper":
-            w = paper_weighting(_layered(g, layers))
-        else:
-            w = {v: Fraction(1) for v in range(g.n)}
+        w = _weights(g, layers)
         lb = chi_f_lower_bound(g, w)
         _emit_json(
             {
@@ -253,10 +257,7 @@ def cmd_subsample(args) -> int:
     d, ordering = degeneracy(g)
     threshold = args.threshold if args.threshold is not None else max(d, 1)
     p = args.p
-    if layers is not None:
-        w = paper_weighting(_layered(g, layers))
-    else:
-        w = {v: Fraction(1) for v in range(g.n)}
+    w = _weights(g, layers)
     trials = []
     total = Fraction(0)
     for t in range(args.trials):
@@ -494,7 +495,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chif", help="fractional chromatic number")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lower-bound", action="store_true")
-    p.add_argument("--weights", choices=("paper", "unit"), default="paper")
     p.add_argument("--column-limit", type=_positive_int, default=10_000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_chif)

@@ -72,8 +72,6 @@ def max_density_subgraph(g: Graph) -> DensityReport:
         raise EmptyGraph("density undefined on the empty graph")
     m = g.num_edges
     n = g.n
-    if m == 0:
-        return DensityReport(tuple(range(n)), 0, Fraction(0))
     best_set = list(range(n))
     best = Fraction(m, n)
     while True:
@@ -88,8 +86,7 @@ def max_density_subgraph(g: Graph) -> DensityReport:
         flow = net.max_flow(s, t)
         if flow >= m * n * b:
             break
-        side = net.min_cut_source_side(s)
-        cand = sorted(v for v in side if v < n)
+        cand = [v for v in net.min_cut_source_side(s) if v < n]
         e = _induced_edge_count(g, cand)
         d = Fraction(e, len(cand))
         if d <= best:
@@ -135,8 +132,7 @@ def _prefix_certificate(lg: LayeredGraph, g: Graph, k: int) -> CertificateOutcom
             results.append(PrefixResult(i, 0, None, True, active, side_ok))
             continue
         prefix = list(range(lg.layer_starts[i - 1]))  # holds all of B_1
-        sub, _ = induced_subgraph(g, prefix)
-        rep = max_density_subgraph(sub)
+        rep = max_density_subgraph(induced_subgraph(g, prefix))
         below = rep.density < THRESHOLD
         if not below:
             densities_ok = False

@@ -80,15 +80,7 @@ class FlowNetwork:
                 else:
                     break
 
-    def min_cut_source_side(self, s: int) -> set[int]:
-        """After max_flow: nodes reachable from s in the residual network."""
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for a in self.head[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+    def min_cut_source_side(self, s: int) -> list[int]:
+        """After max_flow: nodes reachable from s in the residual network,
+        in increasing order."""
+        return [v for v, d in enumerate(self._levels(s)) if d >= 0]

@@ -4,8 +4,10 @@ chi_f_exact runs column generation entirely in rational arithmetic: solve
 the restricted covering LP (via its packing dual, so the vertex weights
 come out of the same tableau), price with an exact maximum-weight
 independent set solver, stop when no independent set has weight > 1.  At
-termination primal and dual values coincide exactly, and both certificates
-are re-validated from scratch.
+termination the primal and dual values must coincide exactly (strong
+duality), and the primal is re-validated from scratch (validate).  The
+dual's feasibility is the final exact pricing call: no independent set
+has weight above 1.
 
 chi_f_lower_bound divides a vertex weighting's total by its maximum
 independent-set weight, from the same mwis.

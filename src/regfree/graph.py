@@ -4,9 +4,8 @@ independence tests, triangle search, induced subgraphs, connected
 components, and the shared JSON file format.
 
 Vertices are 0..n-1.  Edges are unordered pairs stored as (u, v) with u < v.
-A graph keeps its sorted edge tuple, an edge set and sorted neighbour
-lists, so memory grows with n + m.  Graph values are immutable after
-construction and safe to share.
+A graph keeps its sorted edge tuple and sorted neighbour lists, so memory
+grows with n + m.  Graph values are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -40,13 +39,10 @@ def _json_list(x, what: str) -> list:
 
 
 class Graph:
-    """Immutable simple graph.
+    """Immutable simple graph: the sorted edge tuple plus sorted neighbour
+    lists, which also answer has_edge."""
 
-    Adjacency is kept as sorted neighbour lists (for iteration) and as a set
-    of normalized edges (for has_edge).
-    """
-
-    __slots__ = ("n", "edges", "adj", "_edge_set")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -60,7 +56,6 @@ class Graph:
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             es.add(_norm_edge(u, v))
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(es))
-        self._edge_set = frozenset(self.edges)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -75,7 +70,8 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._edge_set
+        # the range check keeps a negative u from indexing from the end
+        return 0 <= u < self.n and v in self.adj[u]
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,20 +220,17 @@ def find_triangle(g: Graph) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def induced_subgraph(g: Graph, s: Sequence[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph on s, reindexed 0..|s|-1, plus the index map
-    (new index -> original vertex).  s must be strictly increasing."""
+def induced_subgraph(g: Graph, s: Sequence[int]) -> Graph:
+    """Induced subgraph on s, reindexed so new vertex i is s[i].  s must be
+    strictly increasing."""
     s = list(s)
     if any(not (0 <= v < g.n) for v in s):
         raise GraphError("vertex out of range")
     if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
         raise GraphError("vertex set must be strictly increasing")
     back = {v: i for i, v in enumerate(s)}
-    in_s = set(s)
-    edges = [
-        (back[u], back[v]) for u, v in g.edges if u in in_s and v in in_s
-    ]
-    return Graph(len(s), edges), s
+    edges = [(back[u], back[v]) for u, v in g.edges if u in back and v in back]
+    return Graph(len(s), edges)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

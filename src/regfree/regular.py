@@ -9,8 +9,9 @@ split into connected components, then DFS over edge assignments with
 constraint propagation.  Only edges carry a state: undecided / chosen /
 forbidden.  A vertex is in the subgraph once it has a chosen edge, and out
 once it has none and too few undecided edges left to reach k.  Forbidding
-an out vertex's edges cascades, which is what collapses the layered
-construction instantly (its 4-core is empty).
+an out vertex's edges cascades.  An empty k-core is decided before any
+search; the layered construction's 4-core is empty when it has at most 4
+layers, since its degeneracy is at most C - 1.
 """
 
 from __future__ import annotations
@@ -202,11 +203,11 @@ def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResu
     core = k_core(g, k)
     if not core:
         return SearchResult(NOT_FOUND, None, 0)
-    core_g, core_map = induced_subgraph(g, core)
     nodes = 0
-    for comp in connected_components(core_g):
+    for comp in connected_components(induced_subgraph(g, core)):
         # increasing, so the local order of vertices and edges is g's order
-        sub, verts = induced_subgraph(g, [core_map[i] for i in comp])
+        verts = [core[i] for i in comp]
+        sub = induced_subgraph(g, verts)
         w, used = _ComponentSearch(sub, k).search(budget - nodes)
         nodes += used
         if nodes > budget:

@@ -65,8 +65,7 @@ def harris_subsample(
     # independent re-verification of the construction guarantees
     if not set(x) <= set(y):
         raise AssertionError("X must be a subset of Y")
-    sub, _ = induced_subgraph(g, list(x))
-    if find_triangle(sub) is not None:
+    if find_triangle(induced_subgraph(g, x)) is not None:
         raise AssertionError("G[X] must be triangle-free")
     for v in x:
         back_x = sum(1 for u in g.adj[v] if pos[u] < pos[v] and in_x[u])
@@ -88,7 +87,6 @@ def claim_probability_bounds(
     pos = ordering.position
     back = [u for u in g.adj[v] if pos[u] < pos[v]]
     markov = params.p * Fraction(len(back), params.degen_threshold)
-    back_sorted = sorted(back)
-    sub, _ = induced_subgraph(g, back_sorted)
+    sub = induced_subgraph(g, sorted(back))
     indep = params.p * params.p * sub.num_edges
     return markov, indep

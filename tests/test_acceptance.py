@@ -25,6 +25,7 @@ from regfree.construction import (
 )
 from regfree.density import (
     CERTIFIED,
+    INCONCLUSIVE,
     max_density_subgraph,
     prefix_certificate_3reg_bipartite,
     prefix_certificate_4reg,
@@ -67,9 +68,10 @@ DESK_SEEDS = 100
 
 
 def _run(capsys, num: int, desc: str, tolerance: str, cap_s, body):
+    """body may return a string, which is appended to desc on a pass."""
     t0 = time.monotonic()
     try:
-        body()
+        desc += body() or ""
         dt = time.monotonic() - t0
         if cap_s is not None:
             assert dt < cap_s, f"runtime {dt:.1f}s exceeds cap {cap_s}s"
@@ -146,7 +148,7 @@ def test_criterion_2_mwis_and_density_oracles(capsys):
             assert best == exp_w and vs == exp_set
             rep = max_density_subgraph(g)
             assert rep.density == brute_max_density(g)
-            sub, _ = induced_subgraph(g, list(rep.subgraph))
+            sub = induced_subgraph(g, list(rep.subgraph))
             assert sub.num_edges == rep.num_edges
 
     _run(
@@ -216,24 +218,39 @@ def test_criterion_4_construction_invariants(capsys, desk_instances):
 def test_criterion_5_certificate_soundness(capsys, desk_instances):
     def body():
         excluded = []
+        certified = {4: 0, 3: 0}
+        verdict3 = []
         for seed, lg in enumerate(desk_instances):
             out4 = prefix_certificate_4reg(lg)
             if out4.verdict == CERTIFIED:
+                certified[4] += 1
                 res = find_k_regular(lg.graph, 4, budget=10_000_000)
                 if res.outcome == BUDGET_EXCEEDED:
                     excluded.append((seed, 4))
                 else:
                     assert res.outcome == NOT_FOUND, f"soundness broken at seed {seed}"
             out3 = prefix_certificate_3reg_bipartite(lg)
+            verdict3.append(out3.verdict)
             if out3.verdict == CERTIFIED:
+                certified[3] += 1
                 res = find_k_regular(bipartite_variant(lg), 3, budget=10_000_000)
                 if res.outcome == BUDGET_EXCEEDED:
                     excluded.append((seed, 3))
                 else:
                     assert res.outcome == NOT_FOUND, f"soundness broken at seed {seed}"
+        # the contrapositive: an instance with a verified witness never certifies
+        for seed in (0, 9):
+            g3 = bipartite_variant(desk_instances[seed])
+            res = find_k_regular(g3, 3, budget=10_000)
+            assert res.outcome == FOUND and verify_witness(g3, res.witness)
+            assert verdict3[seed] == INCONCLUSIVE, f"seed {seed} has a witness yet certified"
         if excluded:
             with capsys.disabled():
                 print(f"criterion 5 note: budget-exceeded instances excluded: {excluded}")
+        return (
+            f", Certified on {certified[4]} (k=4) and {certified[3]} (k=3) of them;"
+            " seeds 0 and 9 hold a verified 3-regular witness and are Inconclusive (k=3)"
+        )
 
     _run(
         capsys,
@@ -277,7 +294,7 @@ def test_criterion_7_subsample_invariants(capsys, desk_instances):
             params = SubsampleParams(p=p, degen_threshold=max(d, 1), seed=seed)
             res = harris_subsample(g, ordering, params, paper_weighting(lg))
             # independent re-verification, not trusting the library's own
-            sub, _ = induced_subgraph(g, list(res.x))
+            sub = induced_subgraph(g, list(res.x))
             assert find_triangle(sub) is None
             assert degeneracy(sub)[0] <= params.degen_threshold
             for v in res.x:

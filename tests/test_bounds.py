@@ -1,3 +1,5 @@
+import re
+
 import mpmath as mp
 import pytest
 
@@ -28,6 +30,12 @@ class TestParseReal:
 
     def test_parens_tolerated(self):
         assert mp.almosteq(parse_real("e^(e^2)"), mp.exp(mp.exp(2)))
+
+    @pytest.mark.parametrize("expr", ["(e^2)^3", "(2", "2)"])
+    def test_parens_that_could_change_the_value_rejected(self, expr):
+        # dropping the parentheses of (e^2)^3 would read e^8
+        with pytest.raises(DomainError, match=re.escape(repr(expr))):
+            parse_real(expr)
 
     @pytest.mark.parametrize("expr", ["inf", "-inf", "nan", "(-2)^0.5", "e^e^e^e^40"])
     def test_only_finite_reals(self, expr):

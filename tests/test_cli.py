@@ -113,6 +113,8 @@ class TestUsageErrors:
             # below the replay's domain e < n
             (["bounds", "union", "--n", "2"], "--n"),
             (["bounds", "union", "--n", "e"], "--n"),
+            # read as e^e^80, the replay ran at log log n = 1600 and held
+            (["bounds", "union", "--n", "(e^e^40)^2"], "--n"),
         ],
     )
     def test_parse_error_names_its_input(self, argv, named, capsys):
@@ -193,6 +195,14 @@ class TestChif:
         doc = json.loads(out)
         assert doc["total_weight"] == "3/1"
         assert Fraction(doc["chi_f_lower_bound"]) > 1
+
+    def test_lower_bound_unit_weights_without_layers(self, tmp_path, capsys):
+        path = tmp_path / "c5.json"
+        path.write_text(Graph(5, [(i, (i + 1) % 5) for i in range(5)]).to_json())
+        code, out, _ = run(["chif", "--in", str(path), "--lower-bound"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["chi_f_lower_bound"], doc["total_weight"]) == ("5/2", "5/1")
 
     def test_lower_bound_at_desk_scale(self, desk_graph, capsys):
         # the MWIS behind it has weight 389/256 out of a total of 4

@@ -36,6 +36,10 @@ class TestMaxDensity:
         rep = max_density_subgraph(Graph(4, []))
         assert rep.density == 0 and rep.num_edges == 0
 
+    def test_edgeless_returns_every_vertex(self):
+        rep = max_density_subgraph(Graph(3, []))
+        assert (rep.subgraph, rep.num_edges, rep.density) == ((0, 1, 2), 0, 0)
+
     def test_k4(self):
         rep = max_density_subgraph(complete_graph(4))
         assert rep.density == Fraction(3, 2)
@@ -69,7 +73,7 @@ class TestMaxDensity:
             rep = max_density_subgraph(g)
             assert rep.density == brute_max_density(g)
             # the reported set really attains the reported density
-            sub, _ = induced_subgraph(g, list(rep.subgraph))
+            sub = induced_subgraph(g, list(rep.subgraph))
             assert rep.num_edges == sub.num_edges
             if rep.density > 0:
                 assert Fraction(sub.num_edges, sub.n) == rep.density

@@ -52,6 +52,12 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("u", [-1, 4])
+    def test_has_edge_out_of_range_is_false(self, u):
+        # vertex 3 is adjacent to 0; a negative id must not index from the end
+        g = complete_graph(4)
+        assert not g.has_edge(u, 0)
+
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
@@ -251,12 +257,11 @@ class TestTriangle:
 
 class TestInducedSubgraph:
     def test_k5_to_k3(self):
-        sub, mapping = induced_subgraph(complete_graph(5), [0, 2, 4])
+        sub = induced_subgraph(complete_graph(5), [0, 2, 4])
         assert sub == complete_graph(3)
-        assert mapping == [0, 2, 4]
 
     def test_empty_selection(self):
-        sub, _ = induced_subgraph(complete_graph(4), [])
+        sub = induced_subgraph(complete_graph(4), [])
         assert sub.n == 0 and sub.num_edges == 0
 
     def test_edge_counts_match_pair_scan(self):
@@ -264,9 +269,11 @@ class TestInducedSubgraph:
         for _ in range(30):
             g = random_graph(rng, 10, 0.5)
             s = sorted(rng.sample(range(10), rng.randint(0, 10)))
-            sub, _ = induced_subgraph(g, s)
+            sub = induced_subgraph(g, s)
             expected = sum(1 for u in s for v in s if u < v and g.has_edge(u, v))
             assert sub.num_edges == expected
+            # new vertex i is s[i]
+            assert all(g.has_edge(s[i], s[j]) for i, j in sub.edges)
 
     def test_rejects_unsorted(self):
         with pytest.raises(GraphError):

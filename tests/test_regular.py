@@ -110,6 +110,13 @@ class TestWitnessChecker:
         w = RegularWitness((0, 1, 2), ((0, 1), (1, 2)), 2)
         assert not verify_witness(g, w)
 
+    def test_rejects_negative_vertex_ids(self):
+        # K5 with vertex 4 renamed -1: adj[-1] would be vertex 4's list
+        g = complete_graph(5)
+        vs = (-1, 0, 1, 2, 3)
+        es = tuple((u, v) for u in vs for v in vs if u < v)
+        assert not verify_witness(g, RegularWitness(vs, es, 4))
+
     def test_accepts_triangle(self):
         g = complete_graph(3)
         w = RegularWitness((0, 1, 2), ((0, 1), (0, 2), (1, 2)), 2)

@@ -35,7 +35,7 @@ def _disjoint_union(a: Graph, b: Graph) -> Graph:
 
 
 def _core_components(g: Graph, k: int) -> int:
-    core, _ = induced_subgraph(g, k_core(g, k))
+    core = induced_subgraph(g, k_core(g, k))
     return len(connected_components(core))
 
 
@@ -130,7 +130,7 @@ class TestDinicOrder:
         monkeypatch.setattr(flow.FlowNetwork, "max_flow", recording)
         for i, (subgraph, rounds) in self.PINNED.items():
             digests.clear()
-            prefix, _ = induced_subgraph(
+            prefix = induced_subgraph(
                 self.LG.graph, range(self.LG.layer_starts[i - 1])
             )
             assert max_density_subgraph(prefix).subgraph == subgraph

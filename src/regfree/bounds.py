@@ -46,24 +46,32 @@ def default_dps() -> int:
 def parse_real(expr: str) -> mp.mpf:
     """Parse 'e^e^40'-style tower notation ('^' right-associative, base 'e'
     or a number) or a plain numeric literal; its value must be a finite
-    real.  Parentheses may only stand where dropping them keeps the value:
-    around a single term, as in (-2)^0.5, or around a part that runs to the
-    end of the text, as in e^(e^40)."""
+    real.  A leading minus binds as in Python's **: -2^2 is -4 and e^-2^2
+    is e^-4, while (-2)^2 is 4.  Parentheses may only stand where dropping
+    them keeps the value: around a single term, as in (-2)^0.5, or around a
+    part that runs to the end of the text, as in e^(e^40)."""
     parts = expr.strip().split("^")
     # the '(' before and ')' after each term: before the last term a ')'
     # closes only a '(' of its own term, and the last term closes the rest
     parens = [(len(p) - len(p.lstrip("(")), len(p) - len(p.rstrip(")"))) for p in parts]
     if any(c > o for o, c in parens[:-1]) or sum(o - c for o, c in parens):
         raise DomainError(f"misplaced parentheses in {expr!r}")
+    terms, signs = [], []
     try:
-        terms = [mp.e if t == "e" else mp.mpf(t)
-                 for t in (p.lstrip("(").rstrip(")") for p in parts)]
+        for p, (_, c) in zip(parts, parens):
+            t = p.lstrip("(").rstrip(")")
+            # signs that no ')' of the term's own encloses apply to the term
+            # raised to everything on its right
+            body = t if c else t.lstrip("+-")
+            minuses = t[: len(t) - len(body)].count("-")
+            signs.append(-1 if minuses % 2 else 1)
+            terms.append(mp.e if body == "e" else mp.mpf(body))
     except ValueError:
         raise DomainError(f"cannot read {expr!r} as a real number") from None
-    val = terms[-1]
+    val = signs[-1] * terms[-1]
     try:
-        for base in reversed(terms[:-1]):
-            val = mp.power(base, val)
+        for base, sign in zip(reversed(terms[:-1]), reversed(signs[:-1])):
+            val = sign * mp.power(base, val)
     except MemoryError:  # mpmath refuses the exponent up front
         raise DomainError(f"{expr!r} is too large to evaluate") from None
     if isinstance(val, mp.mpc) or not mp.isfinite(val):

@@ -4,9 +4,14 @@ Subcommands: construct, detect-regular, certify, chif, degeneracy,
 subsample, bounds (reg/frac/union), sweep.  construct takes explicit
 layer sizes only; the paper's asymptotic sizing lives in log space, in
 bounds.  All rationals are serialized as "a/b" strings in lowest terms;
-huge reals as decimal strings of their natural logs.  Exit codes: 0
-success, 2 inconclusive outcome present, 1 error, usage errors included;
-sweep writes every record first and exits 1 if any seed raised.
+huge reals as decimal strings of their natural logs.
+
+Every cmd_* returns (document, inconclusive): main alone prints the
+document as indented JSON, to --out or stdout, and maps the flag to the
+exit code.  construct prints its compact graph file itself and sweep
+writes its two files, so both return no document.  Exit codes: 0 success,
+2 inconclusive outcome present, 1 error, usage errors included; sweep
+writes every record first and exits 1 if any seed raised.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from functools import partial
 
 import mpmath as mp
 
@@ -51,22 +56,19 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _read_graph(path: str):
+def _read_graph(path: str) -> tuple[Graph, LayeredGraph | None]:
+    """The graph and, when the file has layers, its layer structure: every
+    command checks a file's layers as a ladder, used or not."""
     with open(path) as fh:
-        return Graph.from_json(fh.read())
+        g, layers = Graph.from_json(fh.read())
+    return g, None if layers is None else LayeredGraph(g, layers)
 
 
-def _layered(g: Graph, layers) -> LayeredGraph:
-    if layers is None:
-        raise ValueError("input file carries no layer structure")
-    return LayeredGraph(g, layers)
-
-
-def _weights(g: Graph, layers) -> dict[int, Fraction]:
+def _weights(g: Graph, lg: LayeredGraph | None) -> dict[int, Fraction]:
     """The paper weighting when the file has layers, else unit weights."""
-    if layers is None:
+    if lg is None:
         return {v: Fraction(1) for v in range(g.n)}
-    return paper_weighting(LayeredGraph(g, layers))
+    return paper_weighting(lg)
 
 
 def _emit(text: str, out_path=None) -> None:
@@ -75,10 +77,6 @@ def _emit(text: str, out_path=None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _emit_json(doc, out_path=None) -> None:
-    _emit(json.dumps(doc, indent=2), out_path)
 
 
 def _sizes(text: str) -> list[int]:
@@ -155,14 +153,18 @@ def _real_literal(text: str) -> str:
     )
 
 
-def cmd_construct(args) -> int:
+# certify --k and the sweep's certify4 and certify3 checks
+CERTIFICATES = {4: prefix_certificate_4reg, 3: prefix_certificate_3reg_bipartite}
+
+
+def cmd_construct(args):
     lg = build(explicit_params(args.sizes, seed=args.seed))
     lg.check_invariants()
     _emit(lg.graph.to_json(layers=lg.layer_sizes), args.out)
-    return EXIT_OK
+    return None, False
 
 
-def cmd_detect_regular(args) -> int:
+def cmd_detect_regular(args):
     g, _ = _read_graph(args.infile)
     res = find_k_regular(g, args.k, budget=args.budget)
     doc = {
@@ -176,17 +178,14 @@ def cmd_detect_regular(args) -> int:
         },
         "nodes_expanded": res.nodes_expanded,
     }
-    _emit_json(doc, args.out)
-    return EXIT_INCONCLUSIVE if res.outcome == BUDGET_EXCEEDED else EXIT_OK
+    return doc, res.outcome == BUDGET_EXCEEDED
 
 
-def cmd_certify(args) -> int:
-    g, layers = _read_graph(args.infile)
-    lg = _layered(g, layers)
-    if args.k == 4:
-        outcome = prefix_certificate_4reg(lg)
-    else:  # argparse's choices leave only 3
-        outcome = prefix_certificate_3reg_bipartite(lg)
+def cmd_certify(args):
+    _, lg = _read_graph(args.infile)
+    if lg is None:
+        raise ValueError("input file carries no layer structure")
+    outcome = CERTIFICATES[args.k](lg)
     doc = {
         "k": outcome.k,
         "threshold": frac_str(THRESHOLD),
@@ -203,36 +202,27 @@ def cmd_certify(args) -> int:
             for p in outcome.prefixes
         ],
     }
-    _emit_json(doc, args.out)
-    return EXIT_OK if outcome.verdict == CERTIFIED else EXIT_INCONCLUSIVE
+    return doc, outcome.verdict != CERTIFIED
 
 
-def cmd_chif(args) -> int:
-    g, layers = _read_graph(args.infile)
+def cmd_chif(args):
+    g, lg = _read_graph(args.infile)
     if args.lower_bound:
-        w = _weights(g, layers)
+        w = _weights(g, lg)
         lb = chi_f_lower_bound(g, w)
-        _emit_json(
-            {
-                "chi_f_lower_bound": frac_str(lb),
-                "total_weight": frac_str(total_weight(w)),
-            },
-            args.out,
-        )
-        return EXIT_OK
+        return {
+            "chi_f_lower_bound": frac_str(lb),
+            "total_weight": frac_str(total_weight(w)),
+        }, False
     try:
         value, primal, dual = chi_f_exact(g, column_limit=args.column_limit)
     except ColumnLimitExceeded as exc:
-        _emit_json(
-            {
-                "chi_f": None,
-                "lower": frac_str(exc.lower),
-                "upper": frac_str(exc.upper),
-                "outcome": "column_limit_exceeded",
-            },
-            args.out,
-        )
-        return EXIT_INCONCLUSIVE
+        return {
+            "chi_f": None,
+            "lower": frac_str(exc.lower),
+            "upper": frac_str(exc.upper),
+            "outcome": "column_limit_exceeded",
+        }, True
     doc = {
         "chi_f": frac_str(value),
         "columns": [
@@ -241,23 +231,21 @@ def cmd_chif(args) -> int:
         ],
         "dual": {str(v): frac_str(x) for v, x in sorted(dual.weights.items()) if x},
     }
-    _emit_json(doc, args.out)
-    return EXIT_OK
+    return doc, False
 
 
-def cmd_degeneracy(args) -> int:
+def cmd_degeneracy(args):
     g, _ = _read_graph(args.infile)
     d, ordering = degeneracy(g)
-    _emit_json({"degeneracy": d, "ordering": list(ordering.order)}, args.out)
-    return EXIT_OK
+    return {"degeneracy": d, "ordering": list(ordering.order)}, False
 
 
-def cmd_subsample(args) -> int:
-    g, layers = _read_graph(args.infile)
+def cmd_subsample(args):
+    g, lg = _read_graph(args.infile)
     d, ordering = degeneracy(g)
     threshold = args.threshold if args.threshold is not None else max(d, 1)
     p = args.p
-    w = _weights(g, layers)
+    w = _weights(g, lg)
     trials = []
     total = Fraction(0)
     for t in range(args.trials):
@@ -278,8 +266,7 @@ def cmd_subsample(args) -> int:
         "trials": trials,
         "mean_retained_weight": frac_str(total / args.trials),
     }
-    _emit_json(doc, args.out)
-    return EXIT_OK
+    return doc, False
 
 
 def _chain_doc(rep) -> dict:
@@ -300,16 +287,14 @@ def _chain_doc(rep) -> dict:
     }
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     if args.which == "reg":
         rep = bounds_mod.reg_chain(log_n=args.log_n, i=args.i, x=args.x)
-        _emit_json(_chain_doc(rep), args.out)
-        return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
+        return _chain_doc(rep), not rep.all_hold
     if args.which == "frac":
         # a string, so each replay pass reads p_i at its own precision
         rep = bounds_mod.frac_chain(log_n=args.log_n, i=args.i, p_i=args.p_i)
-        _emit_json(_chain_doc(rep), args.out)
-        return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
+        return _chain_doc(rep), not rep.all_hold
     rep = bounds_mod.union_bounds(log_n=args.log_n)
     doc = {
         "r": mp.nstr(rep.r, 30),
@@ -324,8 +309,7 @@ def cmd_bounds(args) -> int:
         "all_hold": rep.all_hold,
         "dps": rep.dps,
     }
-    _emit_json(doc, args.out)
-    return EXIT_OK if rep.all_hold else EXIT_INCONCLUSIVE
+    return doc, not rep.all_hold
 
 
 ALL_CHECKS = (
@@ -340,135 +324,121 @@ ALL_CHECKS = (
 )
 
 
-class SweepCheck(NamedTuple):
-    """One `sweep` check: how it runs on an instance, and which of its
-    records count as a success or as an inconclusive outcome."""
-
-    run: Callable[[LayeredGraph, int], dict]  # (instance, seed) -> record
-    succeeded: Callable[[dict], bool]
-    inconclusive: Callable[[dict], bool] = lambda rec: False
-
-
-def _run_degeneracy(lg: LayeredGraph, seed: int) -> dict:
+def _check_degeneracy(lg: LayeredGraph, seed: int):
     d, _ = degeneracy(lg.graph)
-    return {"value": d, "within_bound": d <= lg.num_layers - 1}
+    within = d <= lg.num_layers - 1
+    return {"value": d, "within_bound": within}, within, False
 
 
-def _detect_check(k: int, graph_of) -> SweepCheck:
-    def run(lg: LayeredGraph, seed: int) -> dict:
-        r = find_k_regular(graph_of(lg), k)
-        return {"outcome": r.outcome, "nodes_expanded": r.nodes_expanded}
-
-    return SweepCheck(
-        run,
-        lambda rec: rec["outcome"] == NOT_FOUND,
-        lambda rec: rec["outcome"] == BUDGET_EXCEEDED,
-    )
+def _detect(k: int, lg: LayeredGraph, seed: int):
+    # k = 3 asks the bipartite variant, the graph its certificate speaks of
+    r = find_k_regular(lg.graph if k == 4 else bipartite_variant(lg), k)
+    rec = {"outcome": r.outcome, "nodes_expanded": r.nodes_expanded}
+    return rec, r.outcome == NOT_FOUND, r.outcome == BUDGET_EXCEEDED
 
 
-def _certify_check(certificate) -> SweepCheck:
-    return SweepCheck(
-        lambda lg, seed: {"verdict": certificate(lg).verdict},
-        lambda rec: rec["verdict"] == CERTIFIED,
-        lambda rec: rec["verdict"] == INCONCLUSIVE,
-    )
+def _certify(k: int, lg: LayeredGraph, seed: int):
+    verdict = CERTIFICATES[k](lg).verdict
+    return {"verdict": verdict}, verdict == CERTIFIED, verdict == INCONCLUSIVE
 
 
-def _run_chif_lb(lg: LayeredGraph, seed: int) -> dict:
+def _check_chif_lb(lg: LayeredGraph, seed: int):
     w = paper_weighting(lg)
-    return {
+    rec = {
         "value": frac_str(chi_f_lower_bound(lg.graph, w)),
         "total_weight": frac_str(total_weight(w)),
     }
+    return rec, True, False
 
 
-def _run_chif_exact(lg: LayeredGraph, seed: int) -> dict:
+def _check_chif_exact(lg: LayeredGraph, seed: int):
     try:
         value, _, _ = chi_f_exact(lg.graph)
     except ColumnLimitExceeded as exc:
-        return {"value": None, "lower": frac_str(exc.lower), "upper": frac_str(exc.upper)}
-    return {"value": frac_str(value)}
+        rec = {"value": None, "lower": frac_str(exc.lower), "upper": frac_str(exc.upper)}
+        return rec, False, True
+    return {"value": frac_str(value)}, True, False
 
 
-def _run_subsample(lg: LayeredGraph, seed: int) -> dict:
+def _check_subsample(lg: LayeredGraph, seed: int):
     d, ordering = degeneracy(lg.graph)
     params = SubsampleParams(p=Fraction(1, 4), degen_threshold=max(d, 1), seed=seed)
     res = harris_subsample(lg.graph, ordering, params, paper_weighting(lg))
-    return {"x_size": len(res.x), "retained_weight": frac_str(res.retained_weight)}
+    rec = {"x_size": len(res.x), "retained_weight": frac_str(res.retained_weight)}
+    return rec, True, False
 
 
+# Each check maps (instance, seed) to (record, succeeded, inconclusive).
 # In the order the checks run, which is also the key order of a record's
 # "checks"; ALL_CHECKS is the documented order of the CSV summary.
 SWEEP_CHECKS = {
-    "degeneracy": SweepCheck(_run_degeneracy, lambda rec: rec["within_bound"]),
-    "detect4": _detect_check(4, lambda lg: lg.graph),
-    "detect3": _detect_check(3, bipartite_variant),
-    "certify4": _certify_check(prefix_certificate_4reg),
-    "certify3": _certify_check(prefix_certificate_3reg_bipartite),
-    "chif_lb": SweepCheck(_run_chif_lb, lambda rec: True),
-    "chif_exact": SweepCheck(
-        _run_chif_exact,
-        lambda rec: rec["value"] is not None,
-        lambda rec: rec["value"] is None,  # column limit hit
-    ),
-    "subsample": SweepCheck(_run_subsample, lambda rec: True),
+    "degeneracy": _check_degeneracy,
+    "detect4": partial(_detect, 4),
+    "detect3": partial(_detect, 3),
+    "certify4": partial(_certify, 4),
+    "certify3": partial(_certify, 3),
+    "chif_lb": _check_chif_lb,
+    "chif_exact": _check_chif_exact,
+    "subsample": _check_subsample,
 }
 
 
 def run_checks(sizes, seed: int, checks) -> dict:
-    """One seed's worth of checks; everything but timings is deterministic."""
+    """One seed's (record, succeeded, inconclusive) per check; everything
+    but timings is deterministic."""
     lg = build(explicit_params(sizes, seed=seed))
     lg.check_invariants()
-    return {c: SWEEP_CHECKS[c].run(lg, seed) for c in SWEEP_CHECKS if c in checks}
+    return {c: SWEEP_CHECKS[c](lg, seed) for c in SWEEP_CHECKS if c in checks}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     explicit_params(args.sizes)  # a bad ladder fails every seed: reject it once
-    records = []
-    inconclusive = False
-    for seed in args.seeds:
-        t0 = time.monotonic()
-        try:
-            outcomes = run_checks(args.sizes, seed, args.checks)
-            error = None
-        except Exception as exc:  # per-seed errors never abort the sweep
-            outcomes, error = {}, repr(exc)
-        rec = {
-            "sizes": args.sizes,
-            "seed": seed,
-            "checks": outcomes,
-            "error": error,
-            "elapsed_s": round(time.monotonic() - t0, 6),
-            "version": __version__,
-        }
-        inconclusive |= any(SWEEP_CHECKS[c].inconclusive(r) for c, r in outcomes.items())
-        records.append(rec)
-    nd_path = args.out + ".ndjson"
-    with open(nd_path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    csv_path = args.out + ".csv"
-    with open(csv_path, "w", newline="") as fh:
+    nd_path, csv_path = args.out + ".ndjson", args.out + ".csv"
+    successes = {c: [] for c in args.checks}  # one bool per run, CSV row order
+    inconclusive, failed = False, 0
+    # both files open before the first seed, so a bad --out wastes no run
+    with open(nd_path, "w") as nd, open(csv_path, "w", newline="") as fh:
+        for seed in args.seeds:
+            t0 = time.monotonic()
+            try:
+                results = run_checks(args.sizes, seed, args.checks)
+                error = None
+            except Exception as exc:  # per-seed errors never abort the sweep
+                results, error = {}, repr(exc)
+            rec = {
+                "sizes": args.sizes,
+                "seed": seed,
+                "checks": {c: r for c, (r, _, _) in results.items()},
+                "error": error,
+                "elapsed_s": round(time.monotonic() - t0, 6),
+                "version": __version__,
+            }
+            nd.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            for c, (_, ok, inc) in results.items():
+                successes[c].append(ok)
+                inconclusive |= inc
+            failed += error is not None
         wtr = csv.writer(fh)
         wtr.writerow(["check", "successes", "runs", "frequency"])
-        for c in args.checks:
-            runs = [rec["checks"][c] for rec in records if c in rec["checks"]]
-            ok = sum(SWEEP_CHECKS[c].succeeded(r) for r in runs)
-            wtr.writerow([c, ok, len(runs), (ok / len(runs)) if runs else ""])
+        for c, oks in successes.items():
+            ok = sum(oks)
+            wtr.writerow([c, ok, len(oks), (ok / len(oks)) if oks else ""])
     print(f"wrote {nd_path} and {csv_path}")
-    failed = sum(rec["error"] is not None for rec in records)
     if failed:
-        print(f"error: {failed} of {len(records)} seeds raised", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+        raise RuntimeError(f"{failed} of {len(args.seeds)} seeds raised")
+    return None, inconclusive
 
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="regfree")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="infile", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    p = sub.add_parser("construct", help="build a layered random graph")
+    p = sub.add_parser("construct", parents=[out], help="build a layered random graph")
     p.add_argument(
         "--sizes",
         type=_sizes,
@@ -476,49 +446,44 @@ def make_parser() -> argparse.ArgumentParser:
         help="comma-separated layer sizes, e.g. 8,4,2",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("detect-regular", help="exact k-regular subgraph search")
+    p = sub.add_parser(
+        "detect-regular", parents=[infile, out], help="exact k-regular subgraph search"
+    )
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_detect_regular)
 
-    p = sub.add_parser("certify", help="prefix density certificate")
-    p.add_argument("--k", type=int, required=True, choices=(3, 4))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("certify", parents=[infile, out], help="prefix density certificate")
+    p.add_argument("--k", type=int, required=True, choices=sorted(CERTIFICATES))
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("chif", help="fractional chromatic number")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("chif", parents=[infile, out], help="fractional chromatic number")
     p.add_argument("--lower-bound", action="store_true")
     p.add_argument("--column-limit", type=_positive_int, default=10_000)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_chif)
 
-    p = sub.add_parser("degeneracy", help="degeneracy and witnessing ordering")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser(
+        "degeneracy", parents=[infile, out], help="degeneracy and witnessing ordering"
+    )
     p.set_defaults(func=cmd_degeneracy)
 
-    p = sub.add_parser("subsample", help="triangle-free subsampling trials")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser(
+        "subsample", parents=[infile, out], help="triangle-free subsampling trials"
+    )
     p.add_argument(
         "--p", type=_probability, required=True, help="inclusion probability, e.g. 1/4"
     )
     p.add_argument("--threshold", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_subsample)
 
     p = sub.add_parser("bounds", help="replay inequality chains")
     bsub = p.add_subparsers(dest="which", required=True)
     for which in ("reg", "frac", "union"):
-        bp = bsub.add_parser(which)
+        bp = bsub.add_parser(which, parents=[out])
         bp.add_argument("--n", dest="log_n", metavar="N", type=_n_literal,
                         required=True, help="e.g. e^e^40")
         if which in ("reg", "frac"):
@@ -527,7 +492,6 @@ def make_parser() -> argparse.ArgumentParser:
             bp.add_argument("--x", type=int, required=True)
         if which == "frac":
             bp.add_argument("--p-i", dest="p_i", type=_real_literal, required=True)
-        bp.add_argument("--out")
         bp.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="seed-sweep experiments")
@@ -555,10 +519,13 @@ def main(argv=None) -> int:
         # --help and --version exit 0
         return EXIT_ERROR if exc.code == 2 else exc.code
     try:
-        return args.func(args)
+        doc, inconclusive = args.func(args)
+        if doc is not None:
+            _emit(json.dumps(doc, indent=2), args.out)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 if __name__ == "__main__":

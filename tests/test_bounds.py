@@ -31,6 +31,14 @@ class TestParseReal:
     def test_parens_tolerated(self):
         assert mp.almosteq(parse_real("e^(e^2)"), mp.exp(mp.exp(2)))
 
+    @pytest.mark.parametrize(
+        "expr, value",
+        [("-2^2", -4), ("e^-2^2", mp.exp(-4)), ("0.01^-2", 10**4), ("(-2)^2", 4)],
+    )
+    def test_leading_minus_binds_as_in_python(self, expr, value):
+        # a minus outside parentheses negates the whole power to its right
+        assert mp.almosteq(parse_real(expr), value)
+
     @pytest.mark.parametrize("expr", ["(e^2)^3", "(2", "2)"])
     def test_parens_that_could_change_the_value_rejected(self, expr):
         # dropping the parentheses of (e^2)^3 would read e^8

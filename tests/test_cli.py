@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import mpmath as mp
 import pytest
@@ -115,11 +116,63 @@ class TestUsageErrors:
             (["bounds", "union", "--n", "e"], "--n"),
             # read as e^e^80, the replay ran at log log n = 1600 and held
             (["bounds", "union", "--n", "(e^e^40)^2"], "--n"),
+            # read as 10^10^20, the replay ran far above e and held
+            (["bounds", "union", "--n=-10^10^20"], "--n"),
         ],
     )
     def test_parse_error_names_its_input(self, argv, named, capsys):
         code, out, err = run(argv, capsys)
         assert code == EXIT_ERROR and out == "" and named in err
+
+
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["construct"], ["--sizes", "--seed", "--out"]),
+            (["detect-regular"], ["--k", "--in", "--budget", "--out"]),
+            (["certify"], ["--k", "--in", "--out"]),
+            (["chif"], ["--in", "--lower-bound", "--column-limit", "--out"]),
+            (["degeneracy"], ["--in", "--out"]),
+            (["subsample"], ["--in", "--p", "--threshold", "--seed", "--trials", "--out"]),
+            (["bounds", "reg"], ["--n", "--i", "--x", "--out"]),
+            (["bounds", "frac"], ["--n", "--i", "--p-i", "--out"]),
+            (["bounds", "union"], ["--n", "--out"]),
+            (["sweep"], ["--sizes", "--seeds", "--checks", "--out"]),
+        ],
+    )
+    def test_subcommand_help_lists_its_options(self, argv, options, capsys):
+        code, out, _ = run(argv + ["--help"], capsys)
+        # the "options:" lines, one per option, after "-h, --help"
+        listed = re.findall(r"^  (--[\w-]+)", out, re.MULTILINE)
+        assert code == EXIT_OK and sorted(listed) == sorted(options)
+
+
+class TestLadderRule:
+    """Every command that reads a graph file checks its layers as a ladder,
+    whether or not it uses them."""
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ([1, 2], "must not increase"),
+            ([3, 0], "must be positive"),
+            ([], "at least one layer"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degeneracy"],
+            ["detect-regular", "--k", "2"],
+            ["chif"],
+            ["subsample", "--p", "1/4"],
+        ],
+    )
+    def test_bad_ladder_rejected(self, argv, layers, message, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(Graph(sum(layers), []).to_json(layers=layers))
+        code, out, err = run(argv + ["--in", str(path)], capsys)
+        assert code == EXIT_ERROR and out == "" and message in err
 
 
 class TestDetectRegular:
@@ -390,6 +443,62 @@ class TestSweep:
         assert code == EXIT_ERROR and out == ""
         assert err.count("\n") == 1 and message in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_bad_out_wastes_no_seed(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return run_checks(*args)
+
+        monkeypatch.setattr(cli, "run_checks", counting)
+        code, out, err = run(
+            ["sweep", "--sizes", "8,2", "--seeds", "0:3", "--checks", "degeneracy",
+             "--out", str(tmp_path / "missing" / "s")],
+            capsys,
+        )
+        assert code == EXIT_ERROR and "error:" in err
+        assert calls == []
+
+    def test_inconclusive_certificates(self, tmp_path, capsys):
+        prefix = tmp_path / "sweep"
+        code, _, _ = run(
+            ["sweep", "--sizes", "32,8,2", "--seeds", "0:3", "--checks", "certify4",
+             "--out", str(prefix)],
+            capsys,
+        )
+        assert code == EXIT_INCONCLUSIVE
+        recs = [json.loads(x) for x in (tmp_path / "sweep.ndjson").read_text().splitlines()]
+        assert [r["checks"]["certify4"]["verdict"] for r in recs] == ["inconclusive"] * 3
+        with open(tmp_path / "sweep.csv") as fh:
+            assert list(csv.reader(fh))[1] == ["certify4", "0", "3", "0.0"]
+
+    def test_found_is_conclusive_but_no_success(self, tmp_path, capsys):
+        # 8,8,8,8,8,8 seed 1 has a 4-regular subgraph
+        prefix = tmp_path / "sweep"
+        code, _, _ = run(
+            ["sweep", "--sizes", "8,8,8,8,8,8", "--seeds", "1:2", "--checks", "detect4",
+             "--out", str(prefix)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        (rec,) = [json.loads(x) for x in (tmp_path / "sweep.ndjson").read_text().splitlines()]
+        assert rec["checks"]["detect4"] == {"outcome": "found", "nodes_expanded": 20}
+        with open(tmp_path / "sweep.csv") as fh:
+            assert list(csv.reader(fh))[1] == ["detect4", "0", "1", "0.0"]
+
+    def test_budget_exceeded_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        find = cli.find_k_regular
+        monkeypatch.setattr(cli, "find_k_regular", lambda g, k: find(g, k, budget=1))
+        prefix = tmp_path / "sweep"
+        code, _, _ = run(
+            ["sweep", "--sizes", "24,8,4,2", "--seeds", "0:1", "--checks", "detect3",
+             "--out", str(prefix)],
+            capsys,
+        )
+        assert code == EXIT_INCONCLUSIVE
+        (rec,) = [json.loads(x) for x in (tmp_path / "sweep.ndjson").read_text().splitlines()]
+        assert rec["checks"]["detect3"]["outcome"] == "budget_exceeded"
 
     def test_unknown_check_rejected(self, tmp_path, capsys):
         code, _, err = run(

@@ -5,6 +5,9 @@ the witness and node count, the residual network and the tie-broken set
 they return all depend on the order in which they explore.  Those values
 reach the CLI output and the benchmark's work counters, so a rewrite of any
 of the searches must reproduce them exactly.
+
+The prefix certificates are pinned the same way, row by row: their rows
+reach the CLI output and the benchmark's expected outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from regfree.construction import (
     explicit_params,
     paper_weighting,
 )
-from regfree.density import max_density_subgraph
+from regfree.density import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    max_density_subgraph,
+    prefix_certificate_3reg_bipartite,
+    prefix_certificate_4reg,
+)
 from regfree.graph import Graph, connected_components, induced_subgraph, k_core
 from regfree.regular import FOUND, NOT_FOUND, find_k_regular, verify_witness
 
@@ -194,3 +203,172 @@ class TestMwisOrder:
         lg = build(explicit_params(sizes, seed=seed))
         vs, best = fractional.mwis(lg.graph, paper_weighting(lg))
         assert (vs, best) == (vertices, Fraction(weight))
+
+
+class TestCertificateRows:
+    """Every row of both prefix certificates: (i, prefix_size, max_density,
+    below_threshold, active, side_condition_ok).  The ladders cover one
+    layer, single-vertex tail layers, an active row whose side condition
+    fails (2000,1,1,1 at i = 1), and inactive rows at or above 11/10."""
+
+    @pytest.mark.parametrize(
+        "sizes, seed, certificate, k, verdict, rows",
+        [
+            (
+                [600], 0, prefix_certificate_4reg, 4, CERTIFIED,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, True, True),
+                    (2, 600, "0", True, False, None),
+                ],
+            ),
+            (
+                [600], 0, prefix_certificate_3reg_bipartite, 3, CERTIFIED,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, True, True),
+                    (2, 600, "0", True, False, None),
+                ],
+            ),
+            (
+                [800, 1], 0, prefix_certificate_4reg, 4, CERTIFIED,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 800, "0", True, True, True),
+                    (3, 801, "800/801", True, False, None),
+                ],
+            ),
+            (
+                [800, 1], 0, prefix_certificate_3reg_bipartite, 3, CERTIFIED,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 800, "0", True, True, True),
+                    (3, 801, "800/801", True, False, None),
+                ],
+            ),
+            (
+                [2000, 1, 1, 1], 0, prefix_certificate_4reg, 4, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, True, False),
+                    (2, 2000, "0", True, False, None),
+                    (3, 2001, "2000/2001", True, False, None),
+                    (4, 2002, "4001/2002", False, True, True),
+                    (5, 2003, "6003/2003", False, False, None),
+                ],
+            ),
+            (
+                [2000, 1, 1, 1], 0, prefix_certificate_3reg_bipartite, 3, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, True, False),
+                    (2, 2000, "0", True, False, None),
+                    (3, 2001, "2000/2001", True, False, None),
+                    (4, 2002, "2000/1001", False, True, True),
+                    (5, 2003, "6000/2003", False, False, None),
+                ],
+            ),
+            (
+                [1000, 10], 0, prefix_certificate_4reg, 4, CERTIFIED,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 1000, "0", True, True, True),
+                    (3, 1010, "114/115", True, False, None),
+                ],
+            ),
+            (
+                [1000, 10], 0, prefix_certificate_3reg_bipartite, 3, CERTIFIED,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 1000, "0", True, True, True),
+                    (3, 1010, "114/115", True, False, None),
+                ],
+            ),
+            (
+                [32, 8, 2], 0, prefix_certificate_4reg, 4, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 32, "0", True, False, None),
+                    (3, 40, "7/8", True, True, True),
+                    (4, 42, "19/11", False, False, None),
+                ],
+            ),
+            (
+                [32, 8, 2], 0, prefix_certificate_3reg_bipartite, 3, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 32, "0", True, False, None),
+                    (3, 40, "7/8", True, True, True),
+                    (4, 42, "46/29", False, False, None),
+                ],
+            ),
+            (
+                [256, 64, 16, 4], 3, prefix_certificate_4reg, 4, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 256, "0", True, False, None),
+                    (3, 320, "9/10", True, False, None),
+                    (4, 336, "271/157", False, True, True),
+                    (5, 340, "428/159", False, False, None),
+                ],
+            ),
+            (
+                [256, 64, 16, 4], 3, prefix_certificate_3reg_bipartite, 3, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 256, "0", True, False, None),
+                    (3, 320, "9/10", True, False, None),
+                    (4, 336, "199/127", False, True, True),
+                    (5, 340, "199/86", False, False, None),
+                ],
+            ),
+            (
+                [8] * 6, 1, prefix_certificate_4reg, 4, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 8, "0", True, False, None),
+                    (3, 16, "2/3", True, False, None),
+                    (4, 24, "14/13", True, False, None),
+                    (5, 32, "43/28", False, False, None),
+                    (6, 40, "2", False, True, True),
+                    (7, 48, "110/43", False, False, None),
+                ],
+            ),
+            (
+                [8] * 6, 1, prefix_certificate_3reg_bipartite, 3, INCONCLUSIVE,
+                [
+                    (0, 0, None, True, False, None),
+                    (1, 0, None, True, False, None),
+                    (2, 8, "0", True, False, None),
+                    (3, 16, "2/3", True, False, None),
+                    (4, 24, "8/9", True, False, None),
+                    (5, 32, "1", True, False, None),
+                    (6, 40, "11/9", False, True, True),
+                    (7, 48, "13/10", False, False, None),
+                ],
+            ),
+        ],
+    )
+    def test_rows(self, sizes, seed, certificate, k, verdict, rows):
+        out = certificate(build(explicit_params(sizes, seed=seed)))
+        assert (out.k, out.verdict) == (k, verdict)
+        assert [
+            (
+                p.i,
+                p.prefix_size,
+                None if p.max_density is None else str(p.max_density),
+                p.below_threshold,
+                p.active,
+                p.side_condition_ok,
+            )
+            for p in out.prefixes
+        ] == rows

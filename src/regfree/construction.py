@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .graph import Graph
 from .rng import SplitMix64
@@ -32,6 +33,10 @@ def check_ladder(sizes) -> None:
     """Raise ParamError unless |B_1| >= ... >= |B_C| >= 1 with C >= 1."""
     if not sizes:
         raise EmptyLayers("need at least one layer")
+    for s in sizes:
+        # exact type: a bool is an int subclass
+        if type(s) is not int:
+            raise ParamError(f"layer sizes must be integers, got {s!r}")
     if any(s < 1 for s in sizes):
         raise ParamError("layer sizes must be positive")
     if any(a < b for a, b in zip(sizes, sizes[1:])):
@@ -49,7 +54,7 @@ class ConstructionParams:
 
 def explicit_params(layer_sizes, seed: int = 0) -> ConstructionParams:
     """The given sizes verbatim; n is their sum."""
-    return ConstructionParams(tuple(int(s) for s in layer_sizes), seed)
+    return ConstructionParams(tuple(layer_sizes), seed)
 
 
 class LayeredGraph:
@@ -59,14 +64,11 @@ class LayeredGraph:
 
     def __init__(self, graph: Graph, layer_sizes):
         self.layer_sizes = tuple(layer_sizes)
+        check_ladder(self.layer_sizes)
         if sum(self.layer_sizes) != graph.n:
             raise ParamError("layer sizes do not sum to vertex count")
-        check_ladder(self.layer_sizes)
         self.graph = graph
-        starts = [0]
-        for s in self.layer_sizes:
-            starts.append(starts[-1] + s)
-        self.layer_starts = tuple(starts)
+        self.layer_starts = tuple(accumulate(self.layer_sizes, initial=0))
         lof = []
         for i, s in enumerate(self.layer_sizes, start=1):
             lof.extend([i] * s)
@@ -123,9 +125,7 @@ def build(params: ConstructionParams) -> LayeredGraph:
     """
     sizes = params.layer_sizes
     c = len(sizes)
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
+    starts = tuple(accumulate(sizes, initial=0))
     rng = SplitMix64(params.seed)
     edges = []
     for i in range(1, c + 1):
@@ -140,12 +140,10 @@ def bipartite_variant(lg: LayeredGraph) -> Graph:
     """Same vertex set, only the edges incident to layer 1 kept.
 
     Bipartition: B_1 vs everything else."""
-    keep = [
-        (u, v)
-        for u, v in lg.graph.edges
-        if lg.layer_of(u) == 1 or lg.layer_of(v) == 1
-    ]
-    return Graph(lg.graph.n, keep)
+    # B_1 is the block [0, layer_starts[1]) and every edge is stored with
+    # u < v, so an edge meets B_1 exactly when u does
+    end = lg.layer_starts[1]
+    return Graph(lg.graph.n, [(u, v) for u, v in lg.graph.edges if u < end])
 
 
 def paper_weighting(lg: LayeredGraph) -> dict[int, Fraction]:

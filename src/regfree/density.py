@@ -99,47 +99,33 @@ def max_density_subgraph(g: Graph) -> DensityReport:
 
 
 def _prefix_certificate(lg: LayeredGraph, g: Graph, k: int) -> CertificateOutcome:
-    sizes = lg.layer_sizes
     c = lg.num_layers
-    n_v = lg.graph.n
-
-    # boundary conventions: |B_0| = |V|, |B_{C+1}| = 0
-    def size(i: int) -> int:
-        if i == 0:
-            return n_v
-        if 1 <= i <= c:
-            return sizes[i - 1]
-        return 0
-
+    n_v = g.n
+    # size[i] = |B_i|, with the boundary conventions |B_0| = |V| and
+    # |B_{C+1}| = |B_{C+2}| = 0
+    size = (n_v,) + lg.layer_sizes + (0, 0)
     results = []
-    densities_ok = True
-    sides_ok = True
-    for i in range(0, c + 2):
+    for i in range(c + 2):
         # the event index i is selected by a subgraph size s with
         # 1000*|B_{i+1}| < s <= 1000*|B_i| and 1 <= s <= |V|
-        s_lo = max(1, 1000 * size(i + 1) + 1)
-        s_hi = min(1000 * size(i), n_v)
-        active = s_lo <= s_hi
-        side_ok: Optional[bool] = None
-        if active:
-            # instance form of sum_{j>i} |B_j| <= s/500, at the worst
-            # (smallest) admissible s
-            tail = sum(size(j) for j in range(i + 1, c + 1))
-            side_ok = Fraction(tail) <= Fraction(s_lo, 500)
-            if not side_ok:
-                sides_ok = False
+        s_lo = 1000 * size[i + 1] + 1
+        active = s_lo <= min(1000 * size[i], n_v)
+        # instance form of sum_{j>i} |B_j| <= s/500, at the worst
+        # (smallest) admissible s
+        side_ok = 500 * sum(size[i + 1 : c + 1]) <= s_lo if active else None
         if i < 2:
             results.append(PrefixResult(i, 0, None, True, active, side_ok))
             continue
-        prefix = list(range(lg.layer_starts[i - 1]))  # holds all of B_1
-        rep = max_density_subgraph(induced_subgraph(g, prefix))
+        prefix_size = lg.layer_starts[i - 1]  # the prefix holds all of B_1
+        rep = max_density_subgraph(induced_subgraph(g, range(prefix_size)))
         below = rep.density < THRESHOLD
-        if not below:
-            densities_ok = False
         results.append(
-            PrefixResult(i, len(prefix), rep.density, below, active, side_ok)
+            PrefixResult(i, prefix_size, rep.density, below, active, side_ok)
         )
-    verdict = CERTIFIED if (densities_ok and sides_ok) else INCONCLUSIVE
+    certified = all(
+        r.below_threshold and r.side_condition_ok is not False for r in results
+    )
+    verdict = CERTIFIED if certified else INCONCLUSIVE
     return CertificateOutcome(k, tuple(results), verdict)
 
 

@@ -25,6 +25,9 @@ class SubsampleParams:
     seed: int
 
     def __post_init__(self):
+        # the Bernoulli cutoff reads p's numerator and denominator
+        if not isinstance(self.p, (int, Fraction)):
+            raise ValueError(f"p must be an int or a Fraction, got {self.p!r}")
         if not (0 <= self.p <= 1):
             raise ValueError("p must be in [0, 1]")
         if self.degen_threshold < 1:

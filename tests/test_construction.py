@@ -27,6 +27,19 @@ class TestParams:
         with pytest.raises(ParamError):
             explicit_params([4, 0])
 
+    @pytest.mark.parametrize(
+        "sizes, bad", [([2.7, 1.2], "2.7"), (["3", True], "'3'"), ([3, True], "True")]
+    )
+    def test_non_int_size_rejected(self, sizes, bad):
+        with pytest.raises(ParamError, match=bad):
+            explicit_params(sizes)
+
+    def test_layered_graph_non_int_size_rejected(self):
+        # the ladder is checked before the sizes are summed
+        g = build(explicit_params([4, 2], seed=0)).graph
+        with pytest.raises(ParamError, match="'4'"):
+            LayeredGraph(g, ["4", 2])
+
 
 class TestBuild:
     def test_edge_count_formula(self):

@@ -24,6 +24,10 @@ class TestParams:
         with pytest.raises(ValueError):
             SubsampleParams(p=Fraction(3, 2), degen_threshold=1, seed=0)
 
+    def test_float_p_rejected(self):
+        with pytest.raises(ValueError, match="0.25"):
+            SubsampleParams(p=0.25, degen_threshold=2, seed=0)
+
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             SubsampleParams(p=Fraction(1, 2), degen_threshold=0, seed=0)

@@ -321,8 +321,6 @@ def union_bounds(*, log_n, dps: Optional[int] = None) -> UnionBoundsReport:
         if c_real <= 1:
             raise DomainError("need C > 1 so log C > 0")
         r = mp.exp(-mp.sqrt(ln) / 2)
-        if r >= 1:
-            raise DomainError("geometric ratio >= 1; n is too small to close")
         closed = r / (1 - r)
         partial = mp.mpf(0)
         term = r

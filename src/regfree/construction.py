@@ -13,9 +13,10 @@ inequality replay in bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 from .graph import Graph
 from .rng import SplitMix64
@@ -50,6 +51,9 @@ class ConstructionParams:
 
     def __post_init__(self):
         check_ladder(self.layer_sizes)
+        # exact type: a bool is an int subclass, and SplitMix64 needs an int
+        if type(self.seed) is not int:
+            raise ParamError(f"seed must be an integer, got {self.seed!r}")
 
 
 def explicit_params(layer_sizes, seed: int = 0) -> ConstructionParams:
@@ -60,7 +64,7 @@ def explicit_params(layer_sizes, seed: int = 0) -> ConstructionParams:
 class LayeredGraph:
     """A built instance: the graph plus its layer structure."""
 
-    __slots__ = ("graph", "layer_sizes", "layer_starts", "_layer_of")
+    __slots__ = ("graph", "layer_sizes", "layer_starts")
 
     def __init__(self, graph: Graph, layer_sizes):
         self.layer_sizes = tuple(layer_sizes)
@@ -69,10 +73,6 @@ class LayeredGraph:
             raise ParamError("layer sizes do not sum to vertex count")
         self.graph = graph
         self.layer_starts = tuple(accumulate(self.layer_sizes, initial=0))
-        lof = []
-        for i, s in enumerate(self.layer_sizes, start=1):
-            lof.extend([i] * s)
-        self._layer_of = tuple(lof)
 
     @property
     def num_layers(self) -> int:
@@ -80,7 +80,9 @@ class LayeredGraph:
 
     def layer_of(self, v: int) -> int:
         """1-based layer index of vertex v."""
-        return self._layer_of[v]
+        if not 0 <= v < self.graph.n:
+            raise IndexError(f"vertex {v} out of range")
+        return bisect_right(self.layer_starts, v)
 
     def layer_vertices(self, i: int) -> range:
         """Vertices of layer i (1-based)."""
@@ -91,48 +93,45 @@ class LayeredGraph:
         return sum(s * (c - i) for i, s in enumerate(self.layer_sizes, start=1))
 
     def check_invariants(self) -> None:
-        """Raise if any structural invariant fails (independent layers,
-        exactly one neighbor per later layer, total edge count)."""
-        g = self.graph
-        for u, v in g.edges:
-            if self.layer_of(u) == self.layer_of(v):
-                raise ParamError(f"intra-layer edge ({u},{v})")
-        c = self.num_layers
-        for v in range(g.n):
-            i = self.layer_of(v)
-            per_layer = [0] * (c + 1)
-            for u in g.adj[v]:
-                per_layer[self.layer_of(u)] += 1
+        """Raise ParamError unless the edges are exactly the picks.
+
+        Edges are stored sorted with u < v, so reading each as (u, layer of
+        v) and comparing with _picks holds exactly when no edge lies inside
+        a layer, every vertex has exactly one neighbor in every later layer,
+        and e(G) = sum |B_i| * (C - i)."""
+        starts = self.layer_starts
+        seen = [(u, bisect_right(starts, v)) for u, v in self.graph.edges]
+        want = list(_picks(starts))
+        if seen != want:
+            got, exp = next(p for p in zip_longest(seen, want) if p[0] != p[1])
+            raise ParamError(f"edge (vertex, layer) {got}, expected pick {exp}")
+
+
+def _picks(starts):
+    """Yield (v, j): vertex v picks one neighbor in later layer j.
+
+    starts are the layer starts (0, |B_1|, |B_1| + |B_2|, ..., n).  This is
+    the draw order, part of the determinism contract: layers ascending,
+    vertices ascending within layer, target layers ascending; build makes
+    one uniform draw per pair from a single splitmix64 stream.
+    """
+    c = len(starts) - 1
+    for i in range(1, c + 1):
+        for v in range(starts[i - 1], starts[i]):
             for j in range(i + 1, c + 1):
-                if per_layer[j] != 1:
-                    raise ParamError(
-                        f"vertex {v} (layer {i}) has {per_layer[j]} neighbors "
-                        f"in layer {j}, expected 1"
-                    )
-        if g.num_edges != self.expected_edge_count():
-            raise ParamError("edge count mismatch")
+                yield v, j
 
 
 def build(params: ConstructionParams) -> LayeredGraph:
-    """Build the random layered graph from params.
-
-    Draw order is part of the determinism contract: layers ascending,
-    vertices ascending within layer, target layers ascending; one uniform
-    draw per (vertex, later layer) pair from a single splitmix64 stream.
+    """Build the random layered graph from params, drawing in _picks order.
 
     No parallel edges can arise: each (source vertex, target layer) pair
     yields one edge, and targets never pick backwards.
     """
     sizes = params.layer_sizes
-    c = len(sizes)
     starts = tuple(accumulate(sizes, initial=0))
     rng = SplitMix64(params.seed)
-    edges = []
-    for i in range(1, c + 1):
-        for v in range(starts[i - 1], starts[i]):
-            for j in range(i + 1, c + 1):
-                t = rng.uniform(sizes[j - 1])
-                edges.append((v, starts[j - 1] + t))
+    edges = [(v, starts[j - 1] + rng.uniform(sizes[j - 1])) for v, j in _picks(starts)]
     return LayeredGraph(Graph(starts[-1], edges), sizes)
 
 

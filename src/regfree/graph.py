@@ -134,7 +134,7 @@ class VertexOrdering:
 
     order: tuple[int, ...]
     back_degree_bound: int
-    position: dict[int, int] = field(compare=False, repr=False, default=None)
+    position: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):

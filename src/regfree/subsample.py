@@ -30,6 +30,11 @@ class SubsampleParams:
             raise ValueError(f"p must be an int or a Fraction, got {self.p!r}")
         if not (0 <= self.p <= 1):
             raise ValueError("p must be in [0, 1]")
+        # exact type: a bool is an int subclass, and SplitMix64 needs an int
+        for name in ("degen_threshold", "seed"):
+            x = getattr(self, name)
+            if type(x) is not int:
+                raise ValueError(f"{name} must be an integer, got {x!r}")
         if self.degen_threshold < 1:
             raise ValueError("threshold must be >= 1")
 

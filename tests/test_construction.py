@@ -10,7 +10,7 @@ from regfree.construction import (
     paper_weighting,
     total_weight,
 )
-from regfree.graph import degeneracy
+from regfree.graph import Graph, degeneracy
 from regfree.rng import SplitMix64
 
 from fractions import Fraction
@@ -33,6 +33,12 @@ class TestParams:
     def test_non_int_size_rejected(self, sizes, bad):
         with pytest.raises(ParamError, match=bad):
             explicit_params(sizes)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_non_int_seed_rejected(self, seed):
+        # a float seed used to crash inside SplitMix64; True ran as seed 1
+        with pytest.raises(ParamError, match="seed"):
+            explicit_params([8, 4], seed=seed)
 
     def test_layered_graph_non_int_size_rejected(self):
         # the ladder is checked before the sizes are summed
@@ -92,6 +98,11 @@ class TestBuild:
         assert [lg.layer_of(v) for v in range(7)] == [1, 1, 1, 1, 2, 2, 3]
         assert list(lg.layer_vertices(2)) == [4, 5]
 
+    def test_layer_of_rejects_out_of_range(self):
+        lg = build(explicit_params([4, 2, 1], seed=0))
+        with pytest.raises(IndexError):
+            lg.layer_of(-1)
+
     def test_layered_graph_size_mismatch(self):
         g = build(explicit_params([4, 2], seed=0)).graph
         with pytest.raises(ParamError):
@@ -104,6 +115,41 @@ class TestBuild:
         with pytest.raises(ParamError):
             LayeredGraph(g, [2, 4])
         assert build(explicit_params([4, 4], seed=0)).layer_sizes == (4, 4)
+
+
+class TestCheckInvariantsRejects:
+    # build(explicit_params([4, 3, 2], seed=0)): B_1 = 0..3, B_2 = 4..6, B_3 = 7..8
+    EDGES = [
+        (0, 5), (0, 7), (1, 5), (1, 7), (2, 5), (2, 7),
+        (3, 6), (3, 7), (4, 8), (5, 7), (6, 8),
+    ]
+
+    def test_pinned_instance_passes(self):
+        lg = build(explicit_params([4, 3, 2], seed=0))
+        assert list(lg.graph.edges) == self.EDGES
+        LayeredGraph(Graph(9, self.EDGES), [4, 3, 2]).check_invariants()
+
+    @pytest.mark.parametrize(
+        "drop, add",
+        [
+            ([], [(0, 1)]),  # intra-layer edge in B_1
+            ([], [(4, 5)]),  # intra-layer edge in B_2
+            ([], [(7, 8)]),  # intra-layer edge in the last layer
+            ([(0, 7)], []),  # vertex 0 has no pick in B_3
+            ([(0, 5)], [(0, 8)]),  # vertex 0: none in B_2, two in B_3
+            ([], [(0, 4)]),  # vertex 0 has a second B_2 neighbour
+        ],
+    )
+    def test_rejects(self, drop, add):
+        edges = [e for e in self.EDGES if e not in drop] + add
+        lg = LayeredGraph(Graph(9, edges), [4, 3, 2])
+        with pytest.raises(ParamError):
+            lg.check_invariants()
+
+    def test_layer_of_past_the_end(self):
+        lg = LayeredGraph(Graph(9, self.EDGES), [4, 3, 2])
+        with pytest.raises(IndexError):
+            lg.layer_of(9)
 
 
 class TestBipartiteVariant:

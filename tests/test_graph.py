@@ -9,6 +9,7 @@ from regfree.construction import bipartite_variant, build, explicit_params
 from regfree.graph import (
     Graph,
     GraphError,
+    VertexOrdering,
     degeneracy,
     find_triangle,
     induced_subgraph,
@@ -149,6 +150,11 @@ class TestDegeneracy:
             assert d == brute_degeneracy(g)
             assert order.back_degree_bound == d
             assert order.verify(g)
+
+    def test_position_is_not_an_argument(self):
+        # position is derived from order; it cannot be passed in
+        with pytest.raises(TypeError):
+            VertexOrdering(order=(1, 0), back_degree_bound=0, position={0: 5})
 
     def test_at_most_max_degree(self):
         rng = random.Random(9)

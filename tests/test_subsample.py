@@ -32,6 +32,21 @@ class TestParams:
         with pytest.raises(ValueError):
             SubsampleParams(p=Fraction(1, 2), degen_threshold=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "threshold, seed, bad",
+        [
+            (2.5, 0, "degen_threshold"),
+            (True, 0, "degen_threshold"),
+            (2, 0.5, "seed"),
+            (2, True, "seed"),
+        ],
+    )
+    def test_non_int_threshold_or_seed_rejected(self, threshold, seed, bad):
+        # a float seed used to crash inside SplitMix64, and a float or bool
+        # threshold ran silently as its truncation
+        with pytest.raises(ValueError, match=bad):
+            SubsampleParams(Fraction(1, 2), threshold, seed)
+
 
 class TestHarrisSubsample:
     def test_invariants_on_construction(self):

@@ -3,11 +3,18 @@
 chi_f_exact runs column generation entirely in rational arithmetic: solve
 the restricted covering LP (via its packing dual, so the vertex weights
 come out of the same tableau), price with an exact maximum-weight
-independent set solver, stop when no independent set has weight > 1.  At
-termination the primal and dual values must coincide exactly (strong
-duality), and the primal is re-validated from scratch (validate).  The
-dual's feasibility is the final exact pricing call: no independent set
-has weight above 1.
+independent set solver, stop when no independent set has weight > 1.  The
+columns start as the singletons and the classes of a greedy colouring
+along a degeneracy order (Mehrotra & Trick 1996 start from a heuristic
+colouring).  A maximum clique, searched in the earlier neighbourhoods of
+the same order (Eppstein, Löffler & Strash 2010), ends the loop as soon
+as the LP value reaches its size omega: the clique proves chi_f >= omega
+and the LP's columns chi_f <= omega.  The layered construction usually
+holds K_C and its layers give a C-colouring, so chi_f = C is then read off
+the first LP.  Otherwise the dual is the final exact pricing call: no
+independent set has weight above 1.  At termination the primal and dual
+values must coincide exactly, and the primal is re-validated from scratch
+(validate).
 
 chi_f_lower_bound divides a vertex weighting's total by its maximum
 independent-set weight, from the same mwis.
@@ -17,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
 from . import simplex
-from .graph import Graph, is_independent
+from .graph import Graph, degeneracy, is_independent
 
 
 class ZeroWeight(ValueError):
@@ -38,6 +46,7 @@ class ColumnLimitExceeded(Exception):
         )
         self.lower = lower
         self.upper = upper
+        self.columns = columns
 
 
 @dataclass(frozen=True)
@@ -181,35 +190,88 @@ def _solve_restricted(
     return sol.value, w, sol.duals
 
 
+def _classes_and_clique(g: Graph) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """Greedy colour classes and a maximum clique from one degeneracy order.
+
+    Each vertex takes the least colour unused by its earlier neighbours, of
+    which there are at most d, so there are at most d + 1 classes.  Every
+    clique is its latest vertex plus a clique among that vertex's earlier
+    neighbours, so a branch and bound over each earlier neighbourhood finds
+    a maximum one; it stops at the class count, which no clique exceeds.
+    """
+    n = g.n
+    _, ordering = degeneracy(g)
+    colour = [-1] * n
+    for v in ordering.order:
+        used = {colour[u] for u in g.adj[v]}
+        c = 0
+        while c in used:
+            c += 1
+        colour[v] = c
+    members: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+    for v in range(n):
+        members[colour[v]].append(v)
+    # tuple(list), not tuple(genexpr): CPython's resize in the latter leaves
+    # tuples on the free lists that nothing reuses
+    classes = [tuple(vs) for vs in members]
+
+    nbrs = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+    best, size, seen = 0, 0, 0
+    for v in ordering.order:
+        # (clique, candidates adjacent to all of it); "take u" is pushed
+        # above "drop u", so its subtree is searched first
+        stack = [(1 << v, nbrs[v] & seen)]
+        seen |= 1 << v
+        while stack and size < len(classes):
+            clique, cand = stack.pop()
+            if clique.bit_count() + cand.bit_count() <= size:
+                continue
+            if not cand:
+                best, size = clique, clique.bit_count()
+                continue
+            u = cand.bit_length() - 1
+            stack.append((clique, cand & ~(1 << u)))
+            stack.append((clique | 1 << u, cand & nbrs[u]))
+    return classes, tuple([v for v in range(n) if (best >> v) & 1])
+
+
 def chi_f_exact(
     g: Graph, column_limit: int = 10_000
 ) -> tuple[Fraction, FractionalColoring, DualWitness]:
     """Exact fractional chromatic number with primal and dual certificates."""
     if g.n == 0:
         raise ValueError("chi_f undefined on the empty graph")
-    columns: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
+    classes, clique = _classes_and_clique(g)
+    columns: list[tuple[int, ...]] = [(v,) for v in range(g.n)] + classes
     while True:
         value, w, x = _solve_restricted(g, columns)
         best_set, best_w = mwis(g, w)
         if best_w <= 1:
-            primal = FractionalColoring(
-                columns=tuple(
-                    (col, coeff) for col, coeff in zip(columns, x) if coeff != 0
-                ),
-                value=value,
-            )
-            dual = DualWitness(weights=w, value=sum(w.values(), Fraction(0)))
-            if dual.value != value:
-                raise ArithmeticError("strong duality must be exact")
-            if not primal.validate(g):
-                raise RuntimeError("primal coloring failed re-validation")
-            return value, primal, dual
+            weights = w
+            break
+        if value == len(clique):
+            if not all(g.has_edge(u, v) for u, v in combinations(clique, 2)):
+                raise RuntimeError("clique witness is not a clique")
+            weights = {v: Fraction(v in clique) for v in range(g.n)}
+            break
         if len(columns) >= column_limit:
             total = sum(w.values(), Fraction(0))
             raise ColumnLimitExceeded(
-                lower=total / best_w, upper=value, columns=len(columns)
+                lower=max(Fraction(len(clique)), total / best_w),
+                upper=value,
+                columns=len(columns),
             )
         columns.append(best_set)
+    dual = DualWitness(weights=weights, value=sum(weights.values(), Fraction(0)))
+    primal = FractionalColoring(
+        columns=tuple((col, coeff) for col, coeff in zip(columns, x) if coeff != 0),
+        value=value,
+    )
+    if dual.value != value:
+        raise ArithmeticError("strong duality must be exact")
+    if not primal.validate(g):
+        raise RuntimeError("primal coloring failed re-validation")
+    return value, primal, dual
 
 
 def chi_f_lower_bound(g: Graph, w: dict[int, Fraction]) -> Fraction:

@@ -34,6 +34,16 @@ def petersen_graph() -> Graph:
     return Graph(10, outer + inner + spokes)
 
 
+def grotzsch_graph() -> Graph:
+    """The Mycielskian of C_5: triangle-free, chromatic number 4, chi_f
+    29/10.  Vertices 0-4 are the cycle, 5 + i copies i's neighbourhood, and
+    10 is joined to every copy."""
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    copies = [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]
+    hub = [(5 + i, 10) for i in range(5)]
+    return Graph(11, cycle + copies + hub)
+
+
 def cube_graph() -> Graph:
     """Q_3: vertices are 3-bit strings, edges flip one bit."""
     edges = [

@@ -271,11 +271,12 @@ def test_criterion_6_paper_weighting_lower_bound(capsys):
             lb = chi_f_lower_bound(lg.graph, w)
             value, _, _ = chi_f_exact(lg.graph)
             assert lb <= value
+            assert value == 3
 
     _run(
         capsys,
         6,
-        "chi_f_lower_bound(paper_weighting) <= chi_f_exact and total weight = 3, sizes [32,8,2], 50 seeds",
+        "chi_f_lower_bound(paper_weighting) <= chi_f_exact = 3 and total weight = 3, sizes [32,8,2], 50 seeds",
         "zero (exact rationals)",
         60,
         body,

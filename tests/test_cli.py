@@ -15,7 +15,7 @@ from regfree.cli import (
     run_checks,
 )
 from regfree.construction import build, explicit_params
-from regfree.fractional import chi_f_exact
+from regfree.fractional import ColumnLimitExceeded
 from regfree.graph import Graph
 
 from fractions import Fraction
@@ -396,10 +396,12 @@ class TestSweep:
         assert [strip(r) for r in recs] == [strip(r) for r in recs2]
 
     def test_column_limit_is_inconclusive(self, tmp_path, capsys, monkeypatch):
-        # a column cap of 1 forces the limit that chif reports with exit 2
-        monkeypatch.setattr(
-            cli, "chi_f_exact", lambda g: chi_f_exact(g, column_limit=1)
-        )
+        # 16,4 is decided in the first round, so the limit is raised by a
+        # stub; test_fractional's test_column_limit reaches the real one
+        def limit(g):
+            raise ColumnLimitExceeded(lower=Fraction(2), upper=Fraction(3), columns=1)
+
+        monkeypatch.setattr(cli, "chi_f_exact", limit)
         prefix = tmp_path / "sweep"
         code, _, _ = run(
             ["sweep", "--sizes", "16,4", "--seeds", "0:2", "--checks", "chif_exact",

@@ -2,25 +2,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regfree.construction import build, explicit_params, paper_weighting, total_weight
 from regfree.fractional import (
     ColumnLimitExceeded,
+    _classes_and_clique,
     FractionalColoring,
     ZeroWeight,
     chi_f_exact,
     chi_f_lower_bound,
     mwis,
 )
-from regfree.graph import Graph, is_independent
+from regfree.graph import Graph, degeneracy, is_independent
 
 from helpers import (
     SizeLimit,
+    adjacency_masks,
     brute_mwis,
     chi_f_oracle,
     chromatic_number_exact,
     complete_graph,
     cycle_graph,
+    grotzsch_graph,
     path_graph,
     petersen_graph,
     random_graph,
@@ -181,6 +186,20 @@ class TestChiF:
         with pytest.raises(ColumnLimitExceeded) as exc:
             chi_f_exact(petersen_graph(), column_limit=10)
         assert exc.value.lower <= Fraction(5, 2) <= exc.value.upper
+        # an edge is a clique, so the bracket starts at 2
+        assert exc.value.lower >= 2
+
+    def test_column_limit_keeps_the_column_count(self):
+        exc = ColumnLimitExceeded(Fraction(2), Fraction(3), columns=13)
+        assert exc.columns == 13 and "after 13 columns" in str(exc)
+
+    def test_grotzsch_by_column_generation(self):
+        # omega = 2 < chi_f, so no clique ends the loop
+        g = grotzsch_graph()
+        value, primal, dual = chi_f_exact(g)
+        assert value == Fraction(29, 10) == chi_f_oracle(g)
+        assert primal.validate(g) and dual.value == value
+        assert mwis(g, dual.weights)[1] <= 1
 
     @pytest.mark.parametrize(
         "g, columns, value",
@@ -205,6 +224,61 @@ class TestChiF:
             _, _, dual = chi_f_exact(g)
             _, best = mwis(g, dual.weights)
             assert best <= 1
+
+
+class TestChiFOnTheConstruction:
+    """The construction holds K_C and its layers colour it with C colours,
+    so chi_f = C is read off the first LP, with the clique as the dual."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_32_8_2_is_three_from_a_triangle(self, seed):
+        g = build(explicit_params([32, 8, 2], seed=seed)).graph
+        value, primal, dual = chi_f_exact(g)
+        assert value == 3
+        assert [coeff for _, coeff in primal.columns] == [1, 1, 1]
+        assert primal.validate(g)
+        clique = [v for v, x in dual.weights.items() if x]
+        assert [dual.weights[v] for v in clique] == [1, 1, 1]
+        assert all(g.has_edge(u, v) for u in clique for v in clique if u < v)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_256_64_16_4_is_four(self, seed):
+        g = build(explicit_params([256, 64, 16, 4], seed=seed)).graph
+        value, primal, dual = chi_f_exact(g)
+        assert value == 4 and primal.validate(g) and dual.value == 4
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_classes_colour_and_the_clique_is_maximum(g):
+    classes, clique = _classes_and_clique(g)
+    assert sorted(v for vs in classes for v in vs) == list(range(g.n))
+    assert all(is_independent(g, vs) for vs in classes)
+    assert len(classes) <= degeneracy(g)[0] + 1
+    assert all(g.has_edge(u, v) for u in clique for v in clique if u < v)
+    adj = adjacency_masks(g)
+    omega = max(  # a clique misses no neighbour of its own vertices
+        mask.bit_count()
+        for mask in range(1, 1 << g.n)
+        if all(mask & ~adj[v] == 1 << v for v in range(g.n) if mask >> v & 1)
+    )
+    assert len(clique) == omega
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_chi_f_exact_matches_the_oracle(g):
+    value, primal, dual = chi_f_exact(g)
+    assert value == chi_f_oracle(g)
+    assert primal.validate(g) and dual.value == value
+    assert mwis(g, dual.weights)[1] <= 1
 
 
 class TestLowerBound:

@@ -147,28 +147,51 @@ class TestDinicOrder:
 
 
 class TestMwisOrder:
-    def test_sets_priced_on_lp_duals(self, monkeypatch):
-        """Every set mwis returns while chi_f_exact prices ladder 16,4
-        (seed 1).  After the first round most dual weights are zero, so the
-        lexicographic tie-break decides which optimal set comes back."""
+    def test_sets_priced_on_lp_duals(self):
+        """The six LP duals that column generation from the singletons
+        alone priced on ladder 16,4 (seed 1), and the set mwis returns on
+        each.  Most weights are zero, so the lexicographic tie-break
+        decides which optimal set comes back."""
+        g = build(explicit_params([16, 4], seed=1)).graph
+        duals = [  # (vertices of weight 1, vertices of weight 1/2)
+            (range(20), ()),
+            ((0, 16, 17, 18, 19), ()),
+            ((1, 16, 17), ()),
+            ((5, 17, 18), ()),
+            ((19,), (2, 5, 17)),
+            ((0, 17), ()),
+        ]
+        found = [
+            fractional.mwis(
+                g, {v: Fraction(v in ones) + Fraction(v in halves, 2) for v in range(g.n)}
+            )
+            for ones, halves in duals
+        ]
+        assert found == [
+            (tuple(range(16)), Fraction(16)),
+            ((0, 4, 6, 7, 10, 16, 18, 19), Fraction(4)),
+            ((1, 2, 3, 9, 11, 13, 15, 16, 17), Fraction(3)),
+            ((1, 3, 5, 8, 12, 14, 15, 17, 18), Fraction(3)),
+            ((2, 5, 8, 9, 11, 12, 13, 14, 17, 19), Fraction(5, 2)),
+            ((0,), Fraction(1)),
+        ]
+
+    def test_set_priced_by_chi_f_exact(self, monkeypatch):
+        """chi_f_exact on ladder 16,4 (seed 1) starts from the two layer
+        colour classes and decides in its one pricing call."""
         calls = []
         mwis = fractional.mwis
 
         def recording(g, w):
             found = mwis(g, w)
             zeros = sum(1 for x in w.values() if x == 0)
-            calls.append((zeros, found[0]))
+            calls.append((zeros, found))
             return found
 
         monkeypatch.setattr(fractional, "mwis", recording)
         fractional.chi_f_exact(build(explicit_params([16, 4], seed=1)).graph)
         assert calls == [
-            (0, tuple(range(16))),
-            (15, (0, 4, 6, 7, 10, 16, 18, 19)),
-            (17, (1, 2, 3, 9, 11, 13, 15, 16, 17)),
-            (17, (1, 3, 5, 8, 12, 14, 15, 17, 18)),
-            (16, (2, 5, 8, 9, 11, 12, 13, 14, 17, 19)),
-            (18, (0,)),
+            (18, ((0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 13, 15, 16), Fraction(2))),
         ]
 
     @pytest.mark.parametrize(

@@ -1,11 +1,39 @@
 """Density certificates of regular-subgraph-freeness.
 
 max_density_subgraph finds a vertex set maximizing e(S)/|S| exactly via
-Goldberg's flow network: for a rational guess g = a/b, scale all capacities
-by b so the min cut is computed in exact integer arithmetic.  Min cut
-< m*n*b iff some S has density > g, and the source side of the cut is such
-an S; iterating with g = best density found so far terminates at the
-optimum because each round strictly improves.
+Goldberg's flow network.  For a rational guess g = a/b every capacity is
+scaled by b, so the min cut is computed in exact integer arithmetic.  Some
+S has density > g iff some nonempty S has
+
+    2a|S| - sum_{v in S} deg(v)*b + b*e(S, V-S) < 0,
+
+and the source side of a minimum cut of the network below is such an S.
+Iterating with g = the best density found so far terminates at the
+optimum, because each round strictly improves.
+
+The network carries only the reduced terminal arcs.  With
+c_v = deg(v)*b - 2a, vertex v gets an arc s->v of capacity c_v if c_v > 0,
+an arc v->t of capacity -c_v if c_v < 0, and no terminal arc if c_v = 0;
+each edge u-v has capacity b in both directions.  A cut with source side
+{s} + S costs
+
+    sum_{v not in S} max(c_v, 0) + sum_{v in S} max(-c_v, 0) + b*e(S, V-S),
+
+which is the expression above plus the constant P = sum_v max(c_v, 0), the
+cost of S = {}.  So some S beats g iff the maximum flow is below P.
+Goldberg's original network (s->v of capacity m*b, v->t of capacity
+m*b + 2a - deg(v)*b, stop at flow m*n*b) costs every cut more by the same
+constant sum_v min(m*b, m*b + 2a - deg(v)*b), so both networks have the
+same minimum cuts.  The set reachable from s after any maximum flow is the
+minimal minimum cut, so every candidate set, every round and every
+DensityReport is the same in both.
+
+Before Dinic runs, a greedy first flow makes one pass over the edges: an
+edge that joins a vertex with surplus left (on its s-arc) to one with
+deficit left (on its t-arc) carries min(surplus, deficit, b) along
+s->u->v->t.  The network is built with that flow in place, as residual
+capacities, and Dinic adds the rest; the first flow is a feasible flow, so
+the total is still a maximum flow and the reachable set the same.
 
 prefix_certificate_* turn the density argument into a one-sided polynomial
 certificate: if every layer-prefix of the construction has maximum subgraph
@@ -42,6 +70,7 @@ class DensityReport:
     subgraph: tuple[int, ...]
     num_edges: int
     density: Fraction
+    rounds: int  # max-flow calls, one per Goldberg guess
 
 
 @dataclass(frozen=True)
@@ -66,27 +95,55 @@ def _induced_edge_count(g: Graph, s) -> int:
     return sum(1 for u, v in g.edges if u in inside and v in inside)
 
 
+def _reduced_network(g: Graph, a: int, b: int) -> tuple[FlowNetwork, int, int]:
+    """The reduced network for the guess a/b with the greedy first flow in
+    place: (network, flow already pushed, P = sum of the s-arc capacities).
+    Nodes are the vertices, then s = n and t = n + 1."""
+    n = g.n
+    s, t = n, n + 1
+    c = [len(nbrs) * b - 2 * a for nbrs in g.adj]
+    left = c[:]  # surplus (> 0) or deficit (< 0) not yet routed
+    through = []  # flow on each edge, positive from u to v
+    for u, v in g.edges:
+        lu, lv = left[u], left[v]
+        if lu > 0 > lv:
+            f = min(lu, -lv, b)
+        elif lv > 0 > lu:
+            f = -min(lv, -lu, b)
+        else:
+            f = 0
+        left[u] -= f
+        left[v] += f
+        through.append(f)
+    net = FlowNetwork(n + 2)
+    pushed = total = 0
+    for v in range(n):
+        cv, lv = c[v], left[v]
+        if cv > 0:
+            net.add_edge(s, v, lv, cv - lv)
+            pushed += cv - lv
+            total += cv
+        elif cv < 0:
+            net.add_edge(v, t, -lv, lv - cv)
+    for (u, v), f in zip(g.edges, through):
+        net.add_edge(u, v, b - f, b + f)
+    return net, pushed, total
+
+
 def max_density_subgraph(g: Graph) -> DensityReport:
     """Exact maximum-density subgraph (density = edges / vertices)."""
     if g.n == 0:
         raise EmptyGraph("density undefined on the empty graph")
-    m = g.num_edges
     n = g.n
     best_set = list(range(n))
-    best = Fraction(m, n)
+    best = Fraction(g.num_edges, n)
+    rounds = 0
     while True:
-        a, b = best.numerator, best.denominator
-        net = FlowNetwork(n + 2)
-        s, t = n, n + 1
-        for v in range(n):
-            net.add_edge(s, v, m * b)
-            net.add_edge(v, t, m * b + 2 * a - g.degree(v) * b)
-        for u, v in g.edges:
-            net.add_edge(u, v, b, b)
-        flow = net.max_flow(s, t)
-        if flow >= m * n * b:
+        net, pushed, total = _reduced_network(g, best.numerator, best.denominator)
+        rounds += 1
+        if pushed + net.max_flow(n, n + 1) >= total:
             break
-        cand = [v for v in net.min_cut_source_side(s) if v < n]
+        cand = [v for v in net.min_cut_source_side(n) if v < n]
         e = _induced_edge_count(g, cand)
         d = Fraction(e, len(cand))
         if d <= best:
@@ -95,7 +152,7 @@ def max_density_subgraph(g: Graph) -> DensityReport:
     e = _induced_edge_count(g, best_set)
     if Fraction(e, len(best_set)) != best:
         raise ArithmeticError("best set's density differs from the optimum")
-    return DensityReport(tuple(best_set), e, best)
+    return DensityReport(tuple(best_set), e, best, rounds)
 
 
 def _prefix_certificate(lg: LayeredGraph, g: Graph, k: int) -> CertificateOutcome:

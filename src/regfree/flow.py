@@ -1,7 +1,7 @@
 """Dinic max-flow on integer capacities.
 
 Capacities are Python ints (arbitrary precision), so min cuts computed here
-are exact — the densest-subgraph binary search relies on that.
+are exact — the densest-subgraph iteration relies on that.
 """
 
 from __future__ import annotations
@@ -16,7 +16,16 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
 
+    def _check_ids(self, *ids: int) -> None:
+        bad = [x for x in ids if not 0 <= x < self.n]
+        if bad:
+            raise ValueError(
+                f"node ids {bad} out of range for a network of {self.n} nodes"
+            )
+
     def add_edge(self, u: int, v: int, cap: int, rcap: int = 0) -> None:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            self._check_ids(u, v)
         if cap < 0 or rcap < 0:
             raise ValueError("negative capacity")
         self.head[u].append(len(self.to))
@@ -45,6 +54,9 @@ class FlowNetwork:
         """Dinic: per BFS phase, walk augmenting paths from s along level
         arcs.  Each node's current-arc pointer only advances past an arc
         that led to a dead end, so arcs are tried in head order."""
+        self._check_ids(s, t)
+        if s == t:
+            raise ValueError(f"source and sink are the same node {s}")
         head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
@@ -83,4 +95,5 @@ class FlowNetwork:
     def min_cut_source_side(self, s: int) -> list[int]:
         """After max_flow: nodes reachable from s in the residual network,
         in increasing order."""
+        self._check_ids(s)
         return [v for v, d in enumerate(self._levels(s)) if d >= 0]

@@ -1,7 +1,8 @@
 """Shared fixtures: named graphs, seeded random graphs, brute-force oracles
 kept deliberately independent of the library's algorithms (a reference
-Fraction-tableau simplex and the chi_f oracle on it among them), and an
-exact chromatic number for small graphs."""
+Fraction-tableau simplex and the chi_f oracle on it among them), the
+library's earlier peels and Goldberg network (the network runs on the
+library's Dinic), and an exact chromatic number for small graphs."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+from regfree.density import DensityReport
+from regfree.flow import FlowNetwork
 from regfree.graph import Graph
 
 
@@ -213,6 +216,32 @@ def brute_max_density(g: Graph) -> Fraction:
     for _, vs, e, _ in subset_scan(g):
         best = max(best, Fraction(e, len(vs)))
     return best
+
+
+def goldberg_reference(g: Graph) -> DensityReport:
+    """Maximum-density subgraph on Goldberg's full-capacity network: every
+    vertex has s->v of capacity m*b and v->t of capacity m*b + 2a - deg*b,
+    and a round finds no denser set when the flow reaches m*n*b.  The
+    library's earlier network, kept as an oracle for the reduced one."""
+    m, n = g.num_edges, g.n
+    best_set, e = list(range(n)), m
+    rounds = 0
+    while True:
+        best = Fraction(e, len(best_set))
+        a, b = best.numerator, best.denominator
+        net = FlowNetwork(n + 2)
+        s, t = n, n + 1
+        for v in range(n):
+            net.add_edge(s, v, m * b)
+            net.add_edge(v, t, m * b + 2 * a - g.degree(v) * b)
+        for u, v in g.edges:
+            net.add_edge(u, v, b, b)
+        rounds += 1
+        if net.max_flow(s, t) >= m * n * b:
+            return DensityReport(tuple(best_set), e, best, rounds)
+        best_set = [v for v in net.min_cut_source_side(s) if v < n]
+        inside = set(best_set)
+        e = sum(1 for u, v in g.edges if u in inside and v in inside)
 
 
 def brute_mwis(g: Graph, w: dict[int, Fraction]):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from regfree.construction import build, explicit_params
+from regfree import flow
+from regfree.construction import bipartite_variant, build, explicit_params
 from regfree.density import (
     CERTIFIED,
     EmptyGraph,
@@ -19,6 +20,7 @@ from helpers import (
     brute_max_density,
     complete_graph,
     cycle_graph,
+    goldberg_reference,
     path_graph,
     petersen_graph,
     random_graph,
@@ -77,6 +79,81 @@ class TestMaxDensity:
             assert rep.num_edges == sub.num_edges
             if rep.density > 0:
                 assert Fraction(sub.num_edges, sub.n) == rep.density
+
+
+def _prefixes(lg, g: Graph) -> list[Graph]:
+    """The layer prefixes of g: layers 1..i for every i."""
+    return [induced_subgraph(g, range(end)) for end in lg.layer_starts[1:]]
+
+
+class TestReducedNetwork:
+    """The reduced network with its greedy first flow has the same minimum
+    cuts as Goldberg's full-capacity one, so every round's candidate set,
+    the round count and the report are the same."""
+
+    @pytest.fixture
+    def max_flow_calls(self, monkeypatch):
+        calls = []
+        max_flow = flow.FlowNetwork.max_flow
+
+        def counting(net, s, t):
+            calls.append((s, t))
+            return max_flow(net, s, t)
+
+        monkeypatch.setattr(flow.FlowNetwork, "max_flow", counting)
+        return calls
+
+    def _assert_same(self, g: Graph, calls: list) -> None:
+        calls.clear()
+        rep = max_density_subgraph(g)
+        reduced = len(calls)
+        calls.clear()
+        assert rep == goldberg_reference(g)
+        assert rep.rounds == reduced == len(calls)
+
+    def test_random_graphs(self, max_flow_calls):
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.9))
+            self._assert_same(g, max_flow_calls)
+
+    @pytest.mark.parametrize("sizes", [[32, 8, 2], [96, 24, 6], [256, 64, 16, 4]])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_prefix(self, sizes, seed, max_flow_calls):
+        lg = build(explicit_params(sizes, seed=seed))
+        for g in (lg.graph, bipartite_variant(lg)):
+            for prefix in _prefixes(lg, g):
+                self._assert_same(prefix, max_flow_calls)
+
+
+class TestRounds:
+    """DensityReport.rounds counts the Goldberg guesses, one max flow each:
+    per layer prefix, (vertices, rounds, maximum density)."""
+
+    @pytest.mark.parametrize(
+        "sizes, rows",
+        [
+            ([32, 8, 2], [(32, 1, "0"), (40, 3, "7/8"), (42, 2, "19/11")]),
+            (
+                [4096, 1024, 256, 64, 16],
+                [
+                    (4096, 1, "0"),
+                    (5120, 7, "12/13"),
+                    (5376, 2, "8259/4783"),
+                    (5440, 2, "13042/4847"),
+                    (5456, 2, "5963/1621"),
+                ],
+            ),
+        ],
+    )
+    def test_rounds_per_prefix(self, sizes, rows):
+        lg = build(explicit_params(sizes, seed=0))
+        seen = []
+        for prefix in _prefixes(lg, lg.graph):
+            rep = max_density_subgraph(prefix)
+            seen.append((prefix.n, rep.rounds, str(rep.density)))
+        assert seen == rows
 
 
 class TestPrefixCertificates:

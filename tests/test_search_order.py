@@ -106,44 +106,61 @@ class TestDetectorOrder:
 
 
 class TestDinicOrder:
-    """Prefixes of ladder 32,8,2 (seed 0) where each max-flow runs several
-    BFS phases.  The source side of a minimum cut does not depend on the
-    augmenting order, but the residual capacities do, so those are pinned
-    too, as a digest per Goldberg round."""
+    """Prefixes 3 and 4 of ladder 32,8,2 (seed 0).  The source side of a
+    minimum cut does not depend on the augmenting order, but the residual
+    capacities do, so those are pinned too, as a digest per Goldberg round,
+    with the BFS phases that max_flow ran on top of the greedy first flow.
+    On prefix 3 that flow is already maximum; on prefix 4 Dinic still runs
+    two phases per round."""
 
     LG = build(explicit_params([32, 8, 2], seed=0))
     PINNED = {
-        # event index i -> (max-density subgraph, residual digest per round)
+        # event index i -> (max-density subgraph, (phases, residual digest)
+        # per round)
         3: (
             (0, 1, 3, 5, 7, 10, 12, 15, 17, 19, 24, 25, 26, 28, 33, 39),
-            ["127345fedc266f3d", "7b90657917ba18ec", "25af70da9c119bff"],
+            [
+                (0, "60672c0ba3a60717"),
+                (0, "3b463bd80adf082b"),
+                (0, "4a72b06ba219addd"),
+            ],
         ),
         4: (
             (
                 0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 15, 16, 17, 18, 19, 21,
                 22, 23, 24, 25, 26, 28, 30, 31, 32, 33, 35, 37, 39, 40, 41,
             ),
-            ["3b5b462033b81efe", "5ba498a3699ce9d3"],
+            [(2, "4711059d68ade129"), (2, "16d62c70d71c752f")],
         ),
     }
 
     def test_prefix_subgraphs_and_residuals(self, monkeypatch):
-        digests = []
+        rounds = []
+        searches = []
         max_flow = flow.FlowNetwork.max_flow
+        levels = flow.FlowNetwork._levels
+
+        def counting(net, s):
+            searches.append(s)
+            return levels(net, s)
 
         def recording(net, s, t):
+            searches.clear()
             value = max_flow(net, s, t)
-            digests.append(hashlib.sha256(repr(net.cap).encode()).hexdigest()[:16])
+            # every BFS but the last, which finds t unreachable, is a phase
+            digest = hashlib.sha256(repr(net.cap).encode()).hexdigest()[:16]
+            rounds.append((len(searches) - 1, digest))
             return value
 
+        monkeypatch.setattr(flow.FlowNetwork, "_levels", counting)
         monkeypatch.setattr(flow.FlowNetwork, "max_flow", recording)
-        for i, (subgraph, rounds) in self.PINNED.items():
-            digests.clear()
+        for i, (subgraph, pinned) in self.PINNED.items():
+            rounds.clear()
             prefix = induced_subgraph(
                 self.LG.graph, range(self.LG.layer_starts[i - 1])
             )
             assert max_density_subgraph(prefix).subgraph == subgraph
-            assert digests == rounds
+            assert rounds == pinned
 
 
 class TestMwisOrder:

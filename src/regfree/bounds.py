@@ -158,8 +158,6 @@ def _step(label, left, right, identity=False) -> ChainStep:
     left, right = mp.mpf(left), mp.mpf(right)
     if identity:
         holds = abs(left - right) <= _tol(left, right)
-    elif left == NEG_INF:
-        holds = True
     else:
         holds = left <= right + _tol(left, right)
     return ChainStep(label, left, right, holds, identity)
@@ -193,8 +191,6 @@ def _replay(log_n, dps: Optional[int], build, verdicts=_step_verdicts):
 def _log_binom_real(y, m: int):
     """log of the falling-factorial binomial y(y-1)...(y-m+1)/m!; -inf when
     the count is zero or the product nonpositive."""
-    if m == 0:
-        return mp.mpf(0)
     total = mp.mpf(0)
     for t in range(m):
         f = y - t
@@ -272,7 +268,7 @@ def frac_chain(*, log_n, i: int, p_i, dps: Optional[int] = None) -> ChainReport:
         tail = mp.fsum(mp.exp(log_b) for log_b in reg.log_layer_sizes[i:])
         small = mp.exp(-5 * mp.sqrt(reg.log_n))
         log_inv_p = -mp.log(p)
-        s0_left = p * b_i * mp.log(1 - p) if p < 1 else NEG_INF
+        s0_left = p * b_i * mp.log(1 - p)  # mp.log(0) is -inf at p = 1
         s0_right = -p * p * b_i
         v0 = (
             -8 * p * b_i * log_c

@@ -86,6 +86,8 @@ class LayeredGraph:
 
     def layer_vertices(self, i: int) -> range:
         """Vertices of layer i (1-based)."""
+        if not 1 <= i <= self.num_layers:
+            raise IndexError(f"layer {i} out of range")
         return range(self.layer_starts[i - 1], self.layer_starts[i])
 
     def expected_edge_count(self) -> int:

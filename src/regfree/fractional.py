@@ -111,7 +111,7 @@ def mwis(g: Graph, w: dict[int, Fraction]) -> tuple[tuple[int, ...], Fraction]:
     weights = [Fraction(w.get(v, 0)) for v in range(n)]
     if any(x < 0 for x in weights):
         raise ValueError("weights must be nonnegative")
-    denom = lcm(*[x.denominator for x in weights]) if n else 1
+    denom = lcm(*[x.denominator for x in weights])
     iw = [int(x * denom) for x in weights]
     adj = [sum(1 << u for u in g.adj[v]) for v in range(n)]
     indep = blocked = 0

@@ -60,7 +60,8 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # already sorted: each (u, v) with u < v comes before every (v, w)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
 
     @property
     def num_edges(self) -> int:
@@ -144,13 +145,13 @@ class VertexOrdering:
         )
 
     def verify(self, g: Graph) -> bool:
-        """Independent scan: check the back-degree bound really holds."""
+        """Independent scan: check the back-degree bound really holds.  An
+        ordering of a different number of vertices than g has is False."""
         pos = self.position
-        for v in self.order:
-            back = sum(1 for u in g.adj[v] if pos[u] < pos[v])
-            if back > self.back_degree_bound:
-                return False
-        return True
+        return len(self.order) == g.n and all(
+            sum(1 for u in g.adj[v] if pos[u] < pos[v]) <= self.back_degree_bound
+            for v in self.order
+        )
 
 
 def _peel(g: Graph) -> tuple[list[int], list[int]]:

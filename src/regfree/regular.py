@@ -201,8 +201,6 @@ def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResu
     if budget < 1:
         raise ValueError("budget must be >= 1")
     core = k_core(g, k)
-    if not core:
-        return SearchResult(NOT_FOUND, None, 0)
     nodes = 0
     for comp in connected_components(induced_subgraph(g, core)):
         # increasing, so the local order of vertices and edges is g's order

@@ -98,6 +98,12 @@ class TestBuild:
         assert [lg.layer_of(v) for v in range(7)] == [1, 1, 1, 1, 2, 2, 3]
         assert list(lg.layer_vertices(2)) == [4, 5]
 
+    @pytest.mark.parametrize("i", [-1, 0, 4])
+    def test_layer_vertices_rejects_out_of_range(self, i):
+        lg = build(explicit_params([4, 2, 1], seed=0))
+        with pytest.raises(IndexError, match=f"layer {i} "):
+            lg.layer_vertices(i)
+
     def test_layer_of_rejects_out_of_range(self):
         lg = build(explicit_params([4, 2, 1], seed=0))
         with pytest.raises(IndexError):

@@ -77,6 +77,8 @@ class TestMaxDensity:
             # the reported set really attains the reported density
             sub = induced_subgraph(g, list(rep.subgraph))
             assert rep.num_edges == sub.num_edges
+            inside = set(rep.subgraph)
+            assert rep.num_edges == sum(u in inside and v in inside for u, v in g.edges)
             if rep.density > 0:
                 assert Fraction(sub.num_edges, sub.n) == rep.density
 

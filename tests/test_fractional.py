@@ -42,6 +42,9 @@ class TestMwis:
         vs, w = mwis(cycle_graph(5), unit_weights(cycle_graph(5)))
         assert w == 2 and vs == (0, 2)
 
+    def test_empty_graph(self):
+        assert mwis(Graph(0, []), {}) == ((), Fraction(0))
+
     def test_petersen_unit(self):
         _, w = mwis(petersen_graph(), unit_weights(petersen_graph()))
         assert w == 4

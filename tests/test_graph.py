@@ -33,15 +33,24 @@ from helpers import (
 )
 
 
-def small_graphs():
+def small_edge_lists():
+    """(n, edges): loop-free pairs in any order and orientation, duplicates
+    included."""
     return st.integers(2, 9).flatmap(
-        lambda n: st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda e: e[0] != e[1]
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=20,
             ),
-            max_size=20,
-        ).map(lambda es: Graph(n, es))
+        )
     )
+
+
+def small_graphs():
+    return small_edge_lists().map(lambda case: Graph(*case))
 
 
 class TestGraphBasics:
@@ -62,6 +71,15 @@ class TestGraphBasics:
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_edge_lists())
+    def test_adjacency_is_sorted(self, case):
+        n, edges = case
+        g = Graph(n, edges)
+        for v in range(n):
+            nbrs = {b for a, b in edges if a == v} | {a for a, b in edges if b == v}
+            assert g.adj[v] == tuple(sorted(nbrs))
 
     def test_json_round_trip(self):
         rng = random.Random(7)
@@ -150,6 +168,11 @@ class TestDegeneracy:
             assert d == brute_degeneracy(g)
             assert order.back_degree_bound == d
             assert order.verify(g)
+
+    @pytest.mark.parametrize("order", [(0, 1), (0, 1, 2, 3)])
+    def test_verify_rejects_a_different_vertex_count(self, order):
+        # g has 3 vertices; the orderings have 2 and 4
+        assert not VertexOrdering(order, 1).verify(Graph(3, [(0, 2)]))
 
     def test_position_is_not_an_argument(self):
         # position is derived from order; it cannot be passed in

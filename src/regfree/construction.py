@@ -90,10 +90,6 @@ class LayeredGraph:
             raise IndexError(f"layer {i} out of range")
         return range(self.layer_starts[i - 1], self.layer_starts[i])
 
-    def expected_edge_count(self) -> int:
-        c = self.num_layers
-        return sum(s * (c - i) for i, s in enumerate(self.layer_sizes, start=1))
-
     def check_invariants(self) -> None:
         """Raise ParamError unless the edges are exactly the picks.
 

@@ -185,7 +185,7 @@ def _solve_restricted(
     for i, col in enumerate(columns):
         for v in col:
             a[i][v] = 1
-    sol = simplex.solve_max(a, [Fraction(1)] * len(columns), [Fraction(1)] * n)
+    sol = simplex.solve_max(a, [1] * len(columns), [1] * n)
     w = {v: sol.x[v] for v in range(n)}
     return sol.value, w, sol.duals
 

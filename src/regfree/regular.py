@@ -49,6 +49,8 @@ def verify_witness(g: Graph, w: RegularWitness) -> bool:
     if not w.vertices:
         return False
     vs = set(w.vertices)
+    if len(vs) != len(w.vertices):
+        return False
     deg = {v: 0 for v in vs}
     seen = set()
     for u, v in w.edges:

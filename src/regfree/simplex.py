@@ -5,26 +5,25 @@ basis is feasible and no phase one is needed.  Bland's rule precludes
 cycling.  Returns the optimum together with the dual solution (read off
 the slack columns), which is what the column-generation driver needs.
 
-The tableau is fraction-free (Bareiss 1968, Edmonds 1967): every entry is
-an integer.  Each row of [A | b] is scaled by the lcm of its denominators,
-and so is its slack column, so the slack variable is the original one; c
-is scaled by its own lcm cs.  A row pivoted on holds the true tableau row
-times d, a shared positive denominator that is the last pivot element (1
-at the start), and the objective row holds the reduced costs times cs * d.
-A pivot on p keeps the pivot row and maps every other row, the objective
-row too, to (p * row - f * pivot row) / d, which is exact because every
-entry stays a minor of the scaled input, up to sign; then d = p.  A row
-with f = 0 is left as it is when p = d.  Every row is a positive multiple
-of the true one, so signs and ratios within a row are those of a Fraction
-tableau: Bland's rule and the ratio test pick the same pivots, and the
-solution read off at the end is the same.
+A, b and c are integers; any other entry raises TypeError.  The tableau is
+fraction-free (Bareiss 1968, Edmonds 1967): every entry is an integer.  A
+row pivoted on holds the true tableau row times d, a shared positive
+denominator that is the last pivot element (1 at the start), and the
+objective row holds the reduced costs times d; its last entry is -d times
+the value of the current basis.  A pivot on p keeps the pivot row and maps
+every other row, the objective row too, to (p * row - f * pivot row) / d,
+which is exact because every entry stays a minor of the input, up to sign;
+then d = p.  A row with f = 0 is left as it is when p = d.  Every row is a
+positive multiple of the true one, so signs and ratios within a row are
+those of a Fraction tableau: Bland's rule and the ratio test pick the same
+pivots, and the solution read off at the end is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import index
 
 
 class Unbounded(Exception):
@@ -38,27 +37,21 @@ class LpSolution:
     duals: list[Fraction]  # one per row
 
 
-def _integer_row(values) -> tuple[list[int], int]:
-    """The values times the lcm s of their denominators, and s."""
-    qs = [v if isinstance(v, int) else Fraction(v) for v in values]
-    s = lcm(*{q.denominator for q in qs})
-    return [q.numerator * (s // q.denominator) for q in qs], s
-
-
 def solve_max(A, b, c) -> LpSolution:
     m = len(A)
     n = len(c)
     if any(bi < 0 for bi in b):
         raise ValueError("need b >= 0 for the slack basis to be feasible")
     # columns: 0..n-1 structural, n..n+m-1 slack; last column is b
-    tab = []
-    for i in range(m):
-        row, s = _integer_row([A[i][j] for j in range(n)] + [b[i]])
-        tab.append(row[:n] + [s if r == i else 0 for r in range(m)] + row[n:])
-    # objective row holds cs * d times the reduced costs of a max problem
-    # (pivot until <= 0)
-    obj, cs = _integer_row(c)
-    obj += [0] * (m + 1)
+    tab = [
+        [index(A[i][j]) for j in range(n)]
+        + [int(r == i) for r in range(m)]
+        + [index(b[i])]
+        for i in range(m)
+    ]
+    # objective row holds d times the reduced costs of a max problem (pivot
+    # until <= 0)
+    obj = [index(cj) for cj in c] + [0] * (m + 1)
     basis = list(range(n, n + m))
     d = 1
 
@@ -98,7 +91,6 @@ def solve_max(A, b, c) -> LpSolution:
     for row, bv in zip(tab, basis):
         if bv < n:
             x[bv] = Fraction(row[-1], d)
-    value = sum((Fraction(c[j]) * x[j] for j in range(n)), Fraction(0))
     # dual value of row i = negated reduced cost of its slack column
-    duals = [Fraction(-obj[n + i], d * cs) for i in range(m)]
-    return LpSolution(value=value, x=x, duals=duals)
+    duals = [Fraction(-obj[n + i], d) for i in range(m)]
+    return LpSolution(value=Fraction(-obj[-1], d), x=x, duals=duals)

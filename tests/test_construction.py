@@ -51,7 +51,7 @@ class TestBuild:
     def test_edge_count_formula(self):
         lg = build(explicit_params(DESK, seed=0))
         assert lg.graph.num_edges == 256 * 3 + 64 * 2 + 16 * 1
-        assert lg.graph.num_edges == lg.expected_edge_count() == 912
+        assert lg.graph.num_edges == 912
 
     def test_invariants_many_seeds(self):
         for seed in range(20):

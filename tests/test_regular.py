@@ -105,6 +105,11 @@ class TestWitnessChecker:
         w = RegularWitness((0, 1), ((0, 1), (1, 0)), 2)
         assert not verify_witness(g, w)
 
+    def test_rejects_repeated_vertex(self):
+        g = complete_graph(3)
+        w = RegularWitness((0, 1, 2, 2), ((0, 1), (0, 2), (1, 2)), 2)
+        assert not verify_witness(g, w)
+
     def test_rejects_wrong_degree(self):
         g = complete_graph(3)
         w = RegularWitness((0, 1, 2), ((0, 1), (1, 2)), 2)

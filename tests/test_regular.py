@@ -1,7 +1,10 @@
+import itertools
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regfree.construction import bipartite_variant, build, explicit_params
 from regfree.graph import Graph
@@ -10,11 +13,13 @@ from regfree.regular import (
     FOUND,
     NOT_FOUND,
     RegularWitness,
+    _ComponentSearch,
     find_k_regular,
     verify_witness,
 )
 
 from helpers import (
+    ReferenceKernel,
     brute_k_regular_exists,
     complete_graph,
     cube_graph,
@@ -122,6 +127,11 @@ class TestWitnessChecker:
         es = tuple((u, v) for u in vs for v in vs if u < v)
         assert not verify_witness(g, RegularWitness(vs, es, 4))
 
+    @pytest.mark.parametrize("v", [999, 3, -1])
+    def test_rejects_vertex_outside_graph(self, v):
+        # a lone vertex with no edges is 0-regular, whatever its id
+        assert not verify_witness(complete_graph(3), RegularWitness((v,), (), 0))
+
     def test_accepts_triangle(self):
         g = complete_graph(3)
         w = RegularWitness((0, 1, 2), ((0, 1), (0, 2), (1, 2)), 2)
@@ -145,6 +155,14 @@ class TestBudget:
         with pytest.raises(ValueError):
             find_k_regular(g, 2, budget=0)
 
+    @pytest.mark.parametrize(
+        "k, budget", [(2.5, 10), (3.0, 10), (True, 10), (3, True), (3, 10.0)]
+    )
+    def test_non_int_args_rejected(self, k, budget):
+        # exact type: a float or bool k would name a different question
+        with pytest.raises(ValueError, match="must be an integer"):
+            find_k_regular(complete_graph(4), k, budget=budget)
+
 
 class TestConstructionInstances:
     def test_no_4_regular_via_empty_core(self):
@@ -162,3 +180,55 @@ class TestConstructionInstances:
         assert res.outcome in (FOUND, NOT_FOUND)
         if res.outcome == FOUND:
             assert verify_witness(bipartite_variant(lg), res.witness)
+
+
+def _kernel_cases():
+    """(graph, k): simple graphs on 2-8 vertices, k in 1..4."""
+    return st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.sampled_from(list(itertools.combinations(range(n), 2))),
+                unique=True,
+                max_size=20,
+            ).map(lambda es: Graph(n, es)),
+            st.integers(1, 4),
+        )
+    )
+
+
+class TestKernelMatchesReference:
+    """The search's single propagation loop against the per-edge kernel it
+    replaced, on random branch decisions: after every decision the same
+    edge states, counts, contradiction verdict and trail, and undoing to
+    the root restores the initial state."""
+
+    @staticmethod
+    def state(kernel):
+        return kernel.estate, kernel.chosen, kernel.avail, kernel.trail
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases(), st.data())
+    def test_random_decisions(self, case, data):
+        g, k = case
+        new, ref = _ComponentSearch(g, k), ReferenceKernel(g, k)
+        root = tuple(list(x) for x in self.state(new))
+        marks: list[int] = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            undecided = [e for e, s in enumerate(new.estate) if s == 0]
+            if not undecided:
+                break
+            eid = data.draw(st.sampled_from(undecided))
+            choice = data.draw(st.sampled_from((1, -1)))
+            marks.append(len(new.trail))
+            ok = ref.decide(eid, choice)
+            assert new._decide(eid, choice) == ok
+            assert self.state(new) == self.state(ref)
+            if not ok or data.draw(st.booleans()):
+                # backtrack as the search does: to the mark of a decision
+                i = data.draw(st.integers(0, len(marks) - 1))
+                new._undo_to(marks[i])
+                ref.undo_to(marks[i])
+                del marks[i:]
+                assert self.state(new) == self.state(ref)
+        new._undo_to(0)
+        assert self.state(new) == root

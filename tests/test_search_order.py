@@ -104,6 +104,27 @@ class TestDetectorOrder:
         assert verify_witness(g, res.witness)
         assert res.witness.vertices == vertices
 
+    @pytest.mark.parametrize(
+        "seed, nodes, vertices",
+        [
+            (0, 3311, (11, 12, 19, 28, 33, 40, 50, 55, 56, 57, 60, 61)),
+            (
+                1, 1467,
+                (5, 6, 10, 16, 29, 34, 38, 47, 52, 53, 55, 57, 58, 59, 60, 61),
+            ),
+            (2, 5320, (15, 23, 29, 40, 43, 48, 51, 56, 59, 60, 61)),
+        ],
+    )
+    def test_4_regular_on_five_layers(self, seed, nodes, vertices):
+        """k = 4 on the 5-layer ladder 32,16,8,4,2, the smallest measured
+        whose 4-core is not empty, and on which every seed measured finds
+        a witness within 20,000 nodes."""
+        g = build(explicit_params([32, 16, 8, 4, 2], seed=seed)).graph
+        res = find_k_regular(g, 4, budget=20_000)
+        assert (res.outcome, res.nodes_expanded) == (FOUND, nodes)
+        assert verify_witness(g, res.witness)
+        assert res.witness.vertices == vertices
+
 
 class TestDinicOrder:
     """Prefixes 3 and 4 of ladder 32,8,2 (seed 0).  The source side of a

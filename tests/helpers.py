@@ -56,6 +56,10 @@ def cube_graph() -> Graph:
     return Graph(8, edges)
 
 
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)])
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)

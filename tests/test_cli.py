@@ -485,7 +485,7 @@ class TestSweep:
         )
         assert code == EXIT_OK
         (rec,) = [json.loads(x) for x in (tmp_path / "sweep.ndjson").read_text().splitlines()]
-        assert rec["checks"]["detect4"] == {"outcome": "found", "nodes_expanded": 20}
+        assert rec["checks"]["detect4"] == {"outcome": "found", "nodes_expanded": 18}
         with open(tmp_path / "sweep.csv") as fh:
             assert list(csv.reader(fh))[1] == ["detect4", "0", "1", "0.0"]
 

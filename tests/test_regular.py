@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regfree.construction import bipartite_variant, build, explicit_params
+from regfree import regular
 from regfree.graph import Graph
 from regfree.regular import (
     BUDGET_EXCEEDED,
@@ -24,6 +25,7 @@ from helpers import (
     complete_graph,
     cube_graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
     petersen_graph,
     random_graph,
@@ -129,8 +131,22 @@ class TestWitnessChecker:
 
     @pytest.mark.parametrize("v", [999, 3, -1])
     def test_rejects_vertex_outside_graph(self, v):
-        # a lone vertex with no edges is 0-regular, whatever its id
-        assert not verify_witness(complete_graph(3), RegularWitness((v,), (), 0))
+        triangle = ((0, 1), (0, 2), (1, 2))
+        w = RegularWitness((0, 1, 2, v), triangle, 2)
+        assert not verify_witness(complete_graph(3), w)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            # a lone vertex is 0-regular, but k = 0 names no subgraph worth finding
+            RegularWitness((0,), (), 0),
+            # exact type: a float or bool k would name a different question
+            RegularWitness((0, 1, 2), ((0, 1), (0, 2), (1, 2)), 2.0),
+            RegularWitness((0, 1), ((0, 1),), True),
+        ],
+    )
+    def test_rejects_k_not_a_positive_int(self, w):
+        assert not verify_witness(complete_graph(3), w)
 
     def test_accepts_triangle(self):
         g = complete_graph(3)
@@ -180,6 +196,47 @@ class TestConstructionInstances:
         assert res.outcome in (FOUND, NOT_FOUND)
         if res.outcome == FOUND:
             assert verify_witness(bipartite_variant(lg), res.witness)
+
+
+class TestRestarts:
+    # bipartite variants of 24,8,4,2 seeds 4 and 5: two 3-core components,
+    # neither with a 3-regular subgraph
+    NO_CUBIC = disjoint_union(
+        *(bipartite_variant(build(explicit_params([24, 8, 4, 2], seed=s))) for s in (4, 5))
+    )
+
+    def test_unit_one_matches_brute_force(self, monkeypatch):
+        # a restart after every node or two: a tree of more than one node is
+        # searched across many runs on redrawn ties
+        monkeypatch.setattr(regular, "RESTART_UNIT", 1)
+        rng = random.Random(4000)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.95))
+            for k in (2, 3, 4):
+                res = find_k_regular(g, k)
+                assert (res.outcome == FOUND) == brute_k_regular_exists(g, k)
+                assert res.outcome != BUDGET_EXCEEDED
+                if res.outcome == FOUND:
+                    assert verify_witness(g, res.witness)
+        assert find_k_regular(self.NO_CUBIC, 3).outcome == NOT_FOUND
+
+    def test_run_stopped_at_its_limit_is_not_a_proof(self, monkeypatch):
+        # every run stops after one node, too few to exhaust the first
+        # component's tree, so only the budget can end the search
+        monkeypatch.setattr(regular, "RESTART_UNIT", 1)
+        monkeypatch.setattr(regular, "_luby", lambda i: 1)
+        res = find_k_regular(self.NO_CUBIC, 3, budget=50)
+        assert (res.outcome, res.nodes_expanded) == (BUDGET_EXCEEDED, 51)
+
+    def test_repeatable(self):
+        g = bipartite_variant(build(explicit_params([256, 64, 16, 4], seed=0)))
+        first = find_k_regular(g, 3)
+        assert first.outcome == FOUND and first.nodes_expanded > regular.RESTART_UNIT
+        random.seed(1)
+        assert find_k_regular(g, 3) == first
+        random.seed(2)
+        assert find_k_regular(g, 3) == first
 
 
 def _kernel_cases():

@@ -34,13 +34,11 @@ from regfree.density import (
 from regfree.graph import Graph, connected_components, induced_subgraph, k_core
 from regfree.regular import FOUND, NOT_FOUND, find_k_regular, verify_witness
 
+from helpers import disjoint_union
+
 
 def _bipartite(sizes, seed: int) -> Graph:
     return bipartite_variant(build(explicit_params(sizes, seed=seed)))
-
-
-def _disjoint_union(a: Graph, b: Graph) -> Graph:
-    return Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)])
 
 
 def _core_components(g: Graph, k: int) -> int:
@@ -55,16 +53,16 @@ class TestDetectorOrder:
     NO_CUBIC = _bipartite([24, 8, 4, 2], 4)
 
     def test_not_found_over_two_components(self):
-        g = _disjoint_union(self.NO_CUBIC, _bipartite([24, 8, 4, 2], 5))
+        g = disjoint_union(self.NO_CUBIC, _bipartite([24, 8, 4, 2], 5))
         assert _core_components(g, 3) == 2
         res = find_k_regular(g, 3)
-        assert (res.outcome, res.nodes_expanded) == (NOT_FOUND, 20)
+        assert (res.outcome, res.nodes_expanded) == (NOT_FOUND, 19)
 
     def test_found_in_second_component(self):
-        g = _disjoint_union(self.NO_CUBIC, _bipartite([32, 8, 4, 2], 0))
+        g = disjoint_union(self.NO_CUBIC, _bipartite([32, 8, 4, 2], 0))
         assert _core_components(g, 3) == 2
         res = find_k_regular(g, 3)
-        assert (res.outcome, res.nodes_expanded) == (FOUND, 71)
+        assert (res.outcome, res.nodes_expanded) == (FOUND, 32)
         assert verify_witness(g, res.witness)
         assert res.witness.vertices == (
             40, 47, 51, 61, 64, 65, 70, 71, 78, 80, 82, 83,
@@ -75,50 +73,56 @@ class TestDetectorOrder:
             (64, 71), (64, 80), (64, 82), (65, 70), (65, 78), (65, 83),
         )
 
-    @pytest.mark.parametrize(
-        "seed, nodes, vertices",
-        [
-            (
-                0, 1845,
-                (
-                    0, 11, 44, 53, 68, 107, 145, 146, 151, 175, 178, 198,
-                    288, 297, 303, 317, 321, 322, 324, 327, 336, 337, 338, 339,
-                ),
-            ),
-            (
-                9, 6873,
-                (
-                    1, 16, 49, 66, 106, 126, 163, 172, 193, 196, 216, 227,
-                    256, 264, 280, 288, 321, 324, 326, 327, 336, 337, 338, 339,
-                ),
-            ),
-        ],
-    )
-    def test_found_at_desk_scale(self, seed, nodes, vertices):
-        """The two seeds of the benchmark's detector workload that find a
+    # seed -> (nodes, witness vertices)
+    DESK = {
+        0: (215, (18, 28, 36, 68, 70, 82, 86, 87, 92, 173, 184, 196, 275,
+                  276, 281, 317, 322, 325, 327, 335, 336, 337, 338, 339)),
+        1: (4347, (12, 37, 48, 64, 75, 80, 94, 105, 123, 164, 200, 210, 269,
+                   288, 294, 309, 321, 322, 324, 334, 336, 337, 338, 339)),
+        2: (184, (35, 37, 80, 121, 138, 180, 181, 210, 239, 285, 295, 307,
+                  320, 323, 327, 336, 337, 339)),
+        3: (263, (139, 153, 180, 184, 242, 253, 264, 279, 323, 329, 337, 339)),
+        4: (722, (81, 88, 125, 147, 156, 161, 166, 171, 192, 214, 243, 251,
+                  258, 266, 268, 287, 327, 328, 329, 330, 336, 337, 338, 339)),
+        5: (982, (31, 58, 60, 61, 102, 115, 118, 143, 153, 180, 248, 251, 284,
+                  292, 309, 319, 324, 328, 330, 332, 336, 337, 338, 339)),
+        6: (164, (73, 152, 153, 313, 331, 339)),
+        7: (488, (40, 43, 69, 80, 114, 128, 140, 177, 182, 192, 197, 236, 282,
+                  284, 285, 295, 321, 323, 327, 328, 336, 337, 338, 339)),
+        8: (80, (12, 36, 65, 68, 76, 83, 90, 125, 130, 140, 164, 245, 266, 273,
+                 276, 297, 323, 324, 326, 332, 336, 337, 338, 339)),
+        9: (207, (5, 10, 71, 85, 143, 155, 194, 202, 210, 225, 231, 241, 280,
+                  287, 308, 313, 325, 328, 332, 333, 336, 337, 338, 339)),
+        10: (4902, (30, 43, 55, 70, 110, 114, 136, 140, 156, 175, 217, 243,
+                    261, 267, 268, 305, 326, 327, 328, 334, 336, 337, 338, 339)),
+        11: (3756, (37, 48, 86, 124, 146, 193, 197, 216, 222, 225, 227, 235,
+                    289, 297, 304, 318, 320, 321, 325, 330, 336, 337, 338, 339)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DESK))
+    def test_found_at_desk_scale(self, seed):
+        """Every seed of the benchmark's detector workload finds a
         3-regular subgraph of the bipartite variant of 256,64,16,4 within
         its 10,000-node budget."""
+        nodes, vertices = self.DESK[seed]
         g = _bipartite([256, 64, 16, 4], seed)
         res = find_k_regular(g, 3, budget=10_000)
         assert (res.outcome, res.nodes_expanded) == (FOUND, nodes)
         assert verify_witness(g, res.witness)
         assert res.witness.vertices == vertices
 
-    @pytest.mark.parametrize(
-        "seed, nodes, vertices",
-        [
-            (0, 3311, (11, 12, 19, 28, 33, 40, 50, 55, 56, 57, 60, 61)),
-            (
-                1, 1467,
-                (5, 6, 10, 16, 29, 34, 38, 47, 52, 53, 55, 57, 58, 59, 60, 61),
-            ),
-            (2, 5320, (15, 23, 29, 40, 43, 48, 51, 56, 59, 60, 61)),
-        ],
-    )
-    def test_4_regular_on_five_layers(self, seed, nodes, vertices):
+    FIVE_LAYERS = {
+        0: (892, (11, 12, 19, 28, 33, 40, 50, 55, 56, 57, 60, 61)),
+        1: (8393, (5, 6, 10, 16, 29, 34, 38, 47, 52, 53, 55, 57, 58, 59, 60, 61)),
+        2: (300, (6, 11, 25, 32, 36, 44, 48, 50, 57, 58, 60, 61)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FIVE_LAYERS))
+    def test_4_regular_on_five_layers(self, seed):
         """k = 4 on the 5-layer ladder 32,16,8,4,2, the smallest measured
         whose 4-core is not empty, and on which every seed measured finds
         a witness within 20,000 nodes."""
+        nodes, vertices = self.FIVE_LAYERS[seed]
         g = build(explicit_params([32, 16, 8, 4, 2], seed=seed)).graph
         res = find_k_regular(g, 4, budget=20_000)
         assert (res.outcome, res.nodes_expanded) == (FOUND, nodes)

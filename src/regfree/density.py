@@ -35,6 +35,15 @@ s->u->v->t.  The network is built with that flow in place, as residual
 capacities, and Dinic adds the rest; the first flow is a feasible flow, so
 the total is still a maximum flow and the reachable set the same.
 
+Every round after the first runs on G[S], S the previous round's candidate
+set, not on G.  The minimum cuts above minimize h_g(S) = g|S| - e(S), which
+is submodular, and the guesses only rise.  For g' > g the minimal
+minimizer of h_g' lies inside the minimal minimizer of h_g (Goldberg 1984;
+Gallo, Grigoriadis & Tarjan 1989), and on subsets of S the function h is
+the same in G[S] as in G.  So the minimal minimum cut of G[S] is the one G
+would give, and every candidate set, round count and DensityReport is
+unchanged; the candidate's edge count is G[S]'s.
+
 prefix_certificate_* turn the density argument into a one-sided polynomial
 certificate: if every layer-prefix of the construction has maximum subgraph
 density below 11/10 (and the instance-level size inequalities behind the
@@ -51,9 +60,7 @@ from typing import Optional
 
 from .construction import LayeredGraph, bipartite_variant
 from .flow import FlowNetwork
-# perfbench traces density.induced_subgraph by name, so the name stays bound
-# here until the benchmark drops that target; no code in this module calls it
-from .graph import Graph, induced_subgraph  # noqa: F401
+from .graph import Graph, induced_subgraph
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
@@ -131,21 +138,22 @@ def max_density_subgraph(g: Graph) -> DensityReport:
     """Exact maximum-density subgraph (density = edges / vertices)."""
     if g.n == 0:
         raise EmptyGraph("density undefined on the empty graph")
-    n = g.n
-    best_set, best_e = list(range(n)), g.num_edges
+    # each round runs on h = G[ids], the previous round's candidate set,
+    # whose vertex i is ids[i] in g
+    h, ids = g, list(range(g.n))
     rounds = 0
     while True:
-        best = Fraction(best_e, len(best_set))
-        net, pushed, total = _reduced_network(g, best.numerator, best.denominator)
+        n = h.n
+        best = Fraction(h.num_edges, n)
+        net, pushed, total = _reduced_network(h, best.numerator, best.denominator)
         rounds += 1
         if pushed + net.max_flow(n, n + 1) >= total:
-            return DensityReport(tuple(best_set), best_e, best, rounds)
-        cand = [v for v in net.min_cut_source_side(n) if v < n]
-        inside = set(cand)
-        e = sum(1 for u, v in g.edges if u in inside and v in inside)
-        if e * len(best_set) <= best_e * len(cand):
+            return DensityReport(tuple(ids), h.num_edges, best, rounds)
+        local = [v for v in net.min_cut_source_side(n) if v < n]
+        cand = induced_subgraph(h, local)
+        if cand.num_edges * n <= h.num_edges * len(local):
             raise RuntimeError("flow certificate must strictly improve")
-        best_set, best_e = cand, e
+        h, ids = cand, [ids[v] for v in local]
 
 
 def _prefix_certificate(lg: LayeredGraph, g: Graph, k: int) -> CertificateOutcome:

@@ -2,8 +2,8 @@
 kept deliberately independent of the library's algorithms (a reference
 Fraction-tableau simplex and the chi_f oracle on it among them), the
 library's earlier peels, Goldberg network (the network runs on the
-library's Dinic) and per-edge detector kernel, and an exact chromatic
-number for small graphs."""
+library's Dinic), Dinic kernel and per-edge detector kernel, and an exact
+chromatic number for small graphs."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import random
 import sys
+from collections import deque
 from fractions import Fraction
 from typing import Optional
 
@@ -269,6 +270,66 @@ class ReferenceKernel:
         return self.propagate(list(self.g.edges[eid]))
 
 
+def _reference_levels(net: FlowNetwork, s: int) -> list[int]:
+    level = [-1] * net.n
+    level[s] = 0
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        for a in net.head[u]:
+            v = net.to[a]
+            if net.cap[a] > 0 and level[v] < 0:
+                level[v] = level[u] + 1
+                q.append(v)
+    return level
+
+
+def dinic_reference(
+    net: FlowNetwork, s: int, t: int
+) -> tuple[int, list[int], int]:
+    """The library's earlier Dinic on net's arrays, kept as an oracle for
+    the one-pass kernel: a full BFS per phase, a DFS that tests every arc
+    of a node for capacity and level, a restart from s after each
+    augmentation, and a fresh BFS for the cut.  Returns (max flow, source
+    side of the minimal minimum cut, BFS passes, the last one included)
+    and leaves the residual in net.cap."""
+    head, to, cap = net.head, net.to, net.cap
+    flow = searches = 0
+    while True:
+        level = _reference_levels(net, s)
+        searches += 1
+        if level[t] < 0:
+            return flow, [v for v, d in enumerate(level) if d >= 0], searches
+        it = [0] * net.n
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                d = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= d
+                    cap[a ^ 1] += d
+                flow += d
+                path.clear()
+                u = s
+                continue
+            arcs, i = head[u], it[u]
+            while i < len(arcs):
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(a)
+                u = to[a]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
+
+
 def brute_triangle_exists(g: Graph) -> bool:
     return any(
         g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
@@ -294,11 +355,15 @@ def brute_max_density(g: Graph) -> Fraction:
     return best
 
 
-def goldberg_reference(g: Graph) -> DensityReport:
+def goldberg_reference(
+    g: Graph, candidates: Optional[list] = None
+) -> DensityReport:
     """Maximum-density subgraph on Goldberg's full-capacity network: every
     vertex has s->v of capacity m*b and v->t of capacity m*b + 2a - deg*b,
-    and a round finds no denser set when the flow reaches m*n*b.  The
-    library's earlier network, kept as an oracle for the reduced one."""
+    and a round finds no denser set when the flow reaches m*n*b.  Every
+    round runs on all of g, and each candidate set is appended to
+    candidates if given.  The library's earlier network, kept as an oracle
+    for the reduced one."""
     m, n = g.num_edges, g.n
     best_set, e = list(range(n)), m
     rounds = 0
@@ -316,6 +381,8 @@ def goldberg_reference(g: Graph) -> DensityReport:
         if net.max_flow(s, t) >= m * n * b:
             return DensityReport(tuple(best_set), e, best, rounds)
         best_set = [v for v in net.min_cut_source_side(s) if v < n]
+        if candidates is not None:
+            candidates.append(best_set)
         inside = set(best_set)
         e = sum(1 for u, v in g.edges if u in inside and v in inside)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from regfree import flow
+from regfree import density, flow
 from regfree.construction import bipartite_variant, build, explicit_params
 from regfree.density import (
     CERTIFIED,
@@ -91,7 +91,9 @@ def _prefixes(lg, g: Graph) -> list[Graph]:
 class TestReducedNetwork:
     """The reduced network with its greedy first flow has the same minimum
     cuts as Goldberg's full-capacity one, so every round's candidate set,
-    the round count and the report are the same."""
+    the round count and the report are the same.  Every round after the
+    first runs on G[S], S the candidate set that the round before found on
+    all of G in Goldberg's iteration."""
 
     @pytest.fixture
     def max_flow_calls(self, monkeypatch):
@@ -105,13 +107,27 @@ class TestReducedNetwork:
         monkeypatch.setattr(flow.FlowNetwork, "max_flow", counting)
         return calls
 
+    @pytest.fixture(autouse=True)
+    def round_graphs(self, monkeypatch):
+        self.graphs = []
+        reduced_network = density._reduced_network
+
+        def recording(h, a, b):
+            self.graphs.append(h)
+            return reduced_network(h, a, b)
+
+        monkeypatch.setattr(density, "_reduced_network", recording)
+
     def _assert_same(self, g: Graph, calls: list) -> None:
         calls.clear()
+        self.graphs.clear()
         rep = max_density_subgraph(g)
         reduced = len(calls)
         calls.clear()
-        assert rep == goldberg_reference(g)
+        candidates = []
+        assert rep == goldberg_reference(g, candidates)
         assert rep.rounds == reduced == len(calls)
+        assert self.graphs == [g] + [induced_subgraph(g, s) for s in candidates]
 
     def test_random_graphs(self, max_flow_calls):
         rng = random.Random(21)
@@ -151,11 +167,25 @@ class TestRounds:
     )
     def test_rounds_per_prefix(self, sizes, rows):
         lg = build(explicit_params(sizes, seed=0))
+        assert self._rows(_prefixes(lg, lg.graph)) == rows
+
+    def test_rounds_per_bipartite_prefix(self):
+        lg = build(explicit_params([4096, 1024, 256, 64, 16], seed=0))
+        assert self._rows(_prefixes(lg, bipartite_variant(lg))) == [
+            (4096, 1, "0"),
+            (5120, 7, "12/13"),
+            (5376, 3, "2014/1279"),
+            (5440, 2, "9162/3943"),
+            (5456, 2, "12216/3959"),
+        ]
+
+    @staticmethod
+    def _rows(prefixes: list[Graph]) -> list[tuple[int, int, str]]:
         seen = []
-        for prefix in _prefixes(lg, lg.graph):
+        for prefix in prefixes:
             rep = max_density_subgraph(prefix)
             seen.append((prefix.n, rep.rounds, str(rep.density)))
-        assert seen == rows
+        return seen
 
 
 class TestPrefixCertificates:

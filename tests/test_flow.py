@@ -1,8 +1,15 @@
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
+from regfree.construction import bipartite_variant, build, explicit_params
+from regfree.density import _reduced_network
 from regfree.flow import FlowNetwork
+from regfree.graph import Graph
+
+from helpers import dinic_reference
 
 
 def _diamond() -> FlowNetwork:
@@ -68,3 +75,126 @@ class TestNodeIds:
         net.max_flow(0, 2)
         with pytest.raises(ValueError, match=r"node ids \[-1\]"):
             net.min_cut_source_side(-1)
+
+
+class TestExactInputs:
+    """Capacities and node ids are exactly ints, so every cut is an exact
+    integer cut: max_flow used to return 1.5, 1 and 1/2 for the first three
+    capacities below."""
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ((0, 1, 1.5), "capacity 1.5"),
+            ((0, 1, True), "capacity True"),
+            ((0, 1, Fraction(1, 2)), "capacity Fraction(1, 2)"),
+            ((0, 1, 1, 2.0), "capacity 2.0"),
+            ((0.0, 1, 1), "node id 0.0"),  # used to raise a bare TypeError
+            ((0, True, 1), "node id True"),
+        ],
+    )
+    def test_non_int_rejected(self, args, named):
+        net = FlowNetwork(2)
+        with pytest.raises(ValueError, match=re.escape(f"{named} is not an int")):
+            net.add_edge(*args)
+        assert net.to == [] and net.max_flow(0, 1) == 0
+
+
+def _random_arcs(rng: random.Random, n: int, isolated_sink: bool) -> list:
+    """Arcs (u, v, cap, rcap) on nodes 0..n-1, with parallel arcs, reverse
+    and zero capacities; none touches the sink n - 1 if isolated_sink."""
+    ends = n - 1 if isolated_sink else n
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randrange(ends), rng.randrange(ends)
+        cap = rng.choice([0, 0, 1, 2, 3, 7])
+        rcap = rng.choice([0, 0, 0, 1, 4])
+        arcs.append((u, v, cap, rcap))
+        if rng.random() < 0.2:  # a parallel arc
+            arcs.append((u, v, rng.randint(0, 5), 0))
+    return arcs
+
+
+def _network(n: int, arcs: list) -> FlowNetwork:
+    net = FlowNetwork(n)
+    for arc in arcs:
+        net.add_edge(*arc)
+    return net
+
+
+class TestKernelOracle:
+    """The one-pass kernel against the earlier Dinic: the same flow value,
+    the same residual capacity on every arc, the same number of phases and
+    the same minimal minimum cut."""
+
+    @pytest.fixture(autouse=True)
+    def count_searches(self, monkeypatch):
+        self.searches = 0
+        levels = FlowNetwork._levels
+
+        def counting(net, *args):
+            self.searches += 1
+            return levels(net, *args)
+
+        monkeypatch.setattr(FlowNetwork, "_levels", counting)
+
+    def _assert_same(self, build_net, s: int, t: int) -> int:
+        ref, net = build_net(), build_net()
+        value, cut, searches = dinic_reference(ref, s, t)
+        self.searches = 0
+        assert net.max_flow(s, t) == value
+        assert self.searches == searches
+        assert net.cap == ref.cap
+        assert net.min_cut_source_side(s) == cut
+        return value
+
+    def test_random_networks(self):
+        rng = random.Random(29)
+        zero_flows = 0
+        for i in range(240):
+            n = rng.randint(2, 12)
+            arcs = _random_arcs(rng, n, isolated_sink=i % 6 == 0)
+            value = self._assert_same(lambda: _network(n, arcs), 0, n - 1)
+            zero_flows += value == 0
+        assert zero_flows >= 40  # every sixth network has an isolated sink
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_first_round_of_every_prefix(self, seed):
+        lg = build(explicit_params([256, 64, 16, 4], seed=seed))
+        for g in (lg.graph, bipartite_variant(lg)):
+            for end in lg.layer_starts[1:]:
+                prefix = Graph(end, [e for e in g.edges if e[1] < end])
+                guess = Fraction(prefix.num_edges, end)
+                self._assert_same(
+                    lambda: _reduced_network(
+                        prefix, guess.numerator, guess.denominator
+                    )[0],
+                    end,
+                    end + 1,
+                )
+
+
+class TestCutReuse:
+    """min_cut_source_side reuses max_flow's last BFS only for the same
+    source on an unchanged network; otherwise it searches again."""
+
+    def test_before_any_max_flow(self):
+        assert _diamond().min_cut_source_side(0) == [0, 1, 2, 3]
+
+    def test_after_max_flow(self):
+        net = _diamond()
+        net.max_flow(0, 3)
+        assert net.min_cut_source_side(0) == [0, 1]
+
+    def test_after_add_edge(self):
+        net = _diamond()
+        net.max_flow(0, 3)
+        # 0 -> 1 has one unit left, and from 3 the reverse of 2 -> 3 leads on
+        net.add_edge(1, 3, 4)
+        assert net.min_cut_source_side(0) == [0, 1, 2, 3]
+
+    def test_other_source(self):
+        net = _diamond()
+        net.max_flow(0, 3)
+        # 2 -> 3 is saturated; the reverse arcs lead back to 0 and 1
+        assert net.min_cut_source_side(2) == [0, 1, 2]

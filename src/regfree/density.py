@@ -26,14 +26,17 @@ m*b + 2a - deg(v)*b, stop at flow m*n*b) costs every cut more by the same
 constant sum_v min(m*b, m*b + 2a - deg(v)*b), so both networks have the
 same minimum cuts.  The set reachable from s after any maximum flow is the
 minimal minimum cut, so every candidate set, every round and every
-DensityReport is the same in both.
+DensityReport is the same in both.  For the same reason they do not depend
+on the max-flow algorithm, nor on the order in which it augments: whatever
+residual capacities Dinic's blocking flows or flow.py's augmenting paths on
+distance labels leave, the reachable set is the same.
 
-Before Dinic runs, a greedy first flow makes one pass over the edges: an
+Before max_flow runs, a greedy first flow makes one pass over the edges: an
 edge that joins a vertex with surplus left (on its s-arc) to one with
 deficit left (on its t-arc) carries min(surplus, deficit, b) along
 s->u->v->t.  The network is built with that flow in place, as residual
-capacities, and Dinic adds the rest; the first flow is a feasible flow, so
-the total is still a maximum flow and the reachable set the same.
+capacities, and max_flow adds the rest; the first flow is a feasible flow,
+so the total is still a maximum flow and the reachable set the same.
 
 Every round after the first runs on G[S], S the previous round's candidate
 set, not on G.  The minimum cuts above minimize h_g(S) = g|S| - e(S), which

@@ -1,25 +1,27 @@
-"""Dinic max-flow on integer capacities.
+"""Max-flow on integer capacities by shortest augmenting paths on
+distance labels (Ahuja & Orlin 1991).
 
 Capacities are Python ints (arbitrary precision), so min cuts computed here
 are exact — the densest-subgraph iteration relies on that.  add_edge takes
 nothing else: a capacity or node id that is not exactly an int is refused.
 
-Each phase makes one BFS pass.  While it labels the nodes it also records,
-for every node it processes, that node's level-graph arcs in head order:
-the arcs with residual capacity whose head sits one level further out.  It
-stops once every node nearer than t is processed, since no shortest s-t
-path uses a node further out.  The phase's blocking flow then walks only
-those arcs and checks residual capacity alone: no arc gains capacity
-towards a further level during a phase, so a recorded arc that still has
-capacity is still a level arc.  After an augmentation the walk resumes at
-the tail of the first saturated arc; a walk restarted from s would retrace
-exactly the arcs before it, so every augmenting path, phase and residual
-capacity is the one a restart from s gives.
+max_flow keeps a label d[v] for every node, a lower bound on the length of
+a shortest residual path from v to t; one reverse BFS from t makes the
+labels exact.  A walk from s advances on admissible arcs, those with
+residual capacity whose head is labelled one less than their tail, and
+augments when it reaches t.  A node with no admissible arc is relabelled
+to one more than the least label over its residual arcs, and the walk
+retreats one arc.  No residual arc ever leads more than one label down, so
+a label no node holds any more (the gap rule) separates s from t, as does
+d[s] >= n; either ends the search.  Local relabels let labels fall behind
+the true distances, so after every n relabels one more reverse BFS makes
+them exact again and the walk restarts from s (Cherkassky & Goldberg
+1997).
 
-The last BFS of max_flow, the one that finds t unreachable, runs to the end
-and labels exactly the source side of the minimal minimum cut, so
-min_cut_source_side reuses it for the same source until add_edge changes
-the network.
+The residual capacities depend on the order of the augmenting paths, but
+the set of nodes reachable from s after any maximum flow does not: it is
+the source side of the minimal minimum cut, which min_cut_source_side
+finds with one forward BFS.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ class FlowNetwork:
         self.head: list[list[int]] = [[] for _ in range(n)]  # node -> arc ids
         self.to: list[int] = []
         self.cap: list[int] = []
-        # (s, levels) of max_flow's last BFS, while it is still the residual
-        # network's
-        self._cut: tuple[int, list[int]] | None = None
 
     def _check_ids(self, *ids: int) -> None:
         bad = [x for x in ids if not 0 <= x < self.n]
@@ -53,7 +52,6 @@ class FlowNetwork:
             self._check_ids(u, v)
         if cap < 0 or rcap < 0:
             raise ValueError("negative capacity")
-        self._cut = None
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
@@ -61,88 +59,89 @@ class FlowNetwork:
         self.to.append(u)
         self.cap.append(rcap)
 
-    def _levels(
-        self, s: int, t: int | None = None
-    ) -> tuple[list[int], list[list[int]]]:
-        """BFS distance from s over arcs with residual capacity (-1 if not
-        labelled), and each processed node's level-graph arcs in head order.
-        Given t, stops once every node nearer than t is processed."""
+    def _levels(self, root: int, into: bool = False) -> list[int]:
+        """BFS distance from root over arcs with residual capacity, or with
+        into the distance to root; -1 where there is no such path."""
         head, to, cap = self.head, self.to, self.cap
+        flip = 1 if into else 0  # arc a ^ 1 runs from to[a] into a's tail
         level = [-1] * self.n
-        arcs: list = [()] * self.n
-        level[s] = 0
-        frontier = [s]
+        level[root] = 0
+        frontier = [root]
         d = 0
-        while frontier and (t is None or level[t] < 0):
+        while frontier:
             d += 1
             nxt = []
             for u in frontier:
-                out = []
                 for a in head[u]:
-                    if cap[a] > 0:
-                        v = to[a]
-                        lv = level[v]
-                        if lv < 0:
-                            level[v] = d
-                            nxt.append(v)
-                            out.append(a)
-                        elif lv == d:
-                            out.append(a)
-                arcs[u] = out
+                    v = to[a]
+                    if level[v] < 0 and cap[a ^ flip] > 0:
+                        level[v] = d
+                        nxt.append(v)
             frontier = nxt
-        return level, arcs
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
-        """Dinic: per BFS phase, walk augmenting paths from s along the
-        phase's level arcs.  Each node's current-arc pointer only advances
-        past an arc that is saturated or led to a dead end, so arcs are
-        tried in head order."""
+        """Shortest augmenting paths on distance-to-t labels, with the gap
+        rule and a global relabel after every n relabels.  Each node's
+        current-arc pointer only advances past an arc that is not
+        admissible, and goes back to its first arc when the node is
+        relabelled."""
         self._check_ids(s, t)
         if s == t:
             raise ValueError(f"source and sink are the same node {s}")
-        to, cap = self.to, self.cap
-        self._cut = None
+        n, head, to, cap = self.n, self.head, self.to, self.cap
         flow = 0
-        while True:
-            level, arcs = self._levels(s, t)
-            if level[t] < 0:
-                self._cut = (s, level)
+        while True:  # one pass per global relabel
+            d = [x if x >= 0 else n for x in self._levels(t, into=True)]
+            if d[s] == n:
                 return flow
-            it = [0] * self.n
+            count = [0] * (n + 1)  # nodes per label
+            for x in d:
+                count[x] += 1
+            it = [0] * n
             path: list[int] = []  # arcs from s to u
             u = s
-            while True:
+            relabels = 0
+            while relabels < n:
                 if u == t:
                     caps = [cap[a] for a in path]
-                    d = min(caps)
+                    delta = min(caps)
                     for a in path:
-                        cap[a] -= d
-                        cap[a ^ 1] += d
-                    flow += d
-                    k = caps.index(d)  # the first saturated arc
+                        cap[a] -= delta
+                        cap[a ^ 1] += delta
+                    flow += delta
+                    k = caps.index(delta)  # the first saturated arc
                     u = to[path[k] ^ 1]
                     del path[k:]
                     continue
-                out, i = arcs[u], it[u]
-                while i < len(out) and not cap[out[i]] > 0:
-                    i += 1
-                it[u] = i
-                if i < len(out):
-                    a = out[i]
-                    path.append(a)
-                    u = to[a]
-                elif path:  # dead end: retreat one arc
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
-                else:
-                    break
+                arcs, want = head[u], d[u] - 1
+                for i in range(it[u], len(arcs)):
+                    a = arcs[i]
+                    if cap[a] > 0 and d[to[a]] == want:
+                        it[u] = i
+                        path.append(a)
+                        u = to[a]
+                        break
+                else:  # relabel u, then retreat one arc
+                    low = n
+                    for a in arcs:
+                        if cap[a] > 0 and d[to[a]] < low:
+                            low = d[to[a]]
+                    old = d[u]
+                    count[old] -= 1
+                    if count[old] == 0:
+                        return flow  # gap: no label above old reaches t
+                    new = d[u] = min(low + 1, n)
+                    count[new] += 1
+                    it[u] = 0
+                    relabels += 1
+                    if path:
+                        u = to[path.pop() ^ 1]
+                    elif new == n:
+                        return flow
 
     def min_cut_source_side(self, s: int) -> list[int]:
         """After max_flow: nodes reachable from s in the residual network,
         in increasing order."""
         self._check_ids(s)
-        if self._cut is not None and self._cut[0] == s:
-            level = self._cut[1]
-        else:
-            level = self._levels(s)[0]
-        return [v for v, d in enumerate(level) if d >= 0]
+        return [v for v, x in enumerate(self._levels(s)) if x >= 0]

@@ -21,10 +21,6 @@ class GraphError(ValueError):
     pass
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def _json_int(x, what: str) -> int:
     # exact type: JSON true/false load as bool, an int subclass
     if type(x) is not int:
@@ -48,14 +44,19 @@ class Graph:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
-        es = set()
+        es = []
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            es.add(_norm_edge(u, v))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(es))
+            es.append((u, v) if u < v else (v, u))
+        # linear on the sorted input most callers pass; duplicates end up
+        # adjacent
+        es.sort()
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            [e for e, prev in zip(es, [None] + es) if e != prev]
+        )
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)

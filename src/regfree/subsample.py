@@ -25,8 +25,9 @@ class SubsampleParams:
     seed: int
 
     def __post_init__(self):
-        # the Bernoulli cutoff reads p's numerator and denominator
-        if not isinstance(self.p, (int, Fraction)):
+        # the Bernoulli cutoff reads p's numerator and denominator; exact
+        # type int, as below: a bool would run as p = 0 or p = 1
+        if type(self.p) is not int and not isinstance(self.p, Fraction):
             raise ValueError(f"p must be an int or a Fraction, got {self.p!r}")
         if not (0 <= self.p <= 1):
             raise ValueError("p must be in [0, 1]")

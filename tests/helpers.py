@@ -270,7 +270,7 @@ class ReferenceKernel:
         return self.propagate(list(self.g.edges[eid]))
 
 
-def _reference_levels(net: FlowNetwork, s: int) -> list[int]:
+def reference_levels(net: FlowNetwork, s: int) -> list[int]:
     level = [-1] * net.n
     level[s] = 0
     q = deque([s])
@@ -284,22 +284,18 @@ def _reference_levels(net: FlowNetwork, s: int) -> list[int]:
     return level
 
 
-def dinic_reference(
-    net: FlowNetwork, s: int, t: int
-) -> tuple[int, list[int], int]:
-    """The library's earlier Dinic on net's arrays, kept as an oracle for
-    the one-pass kernel: a full BFS per phase, a DFS that tests every arc
-    of a node for capacity and level, a restart from s after each
-    augmentation, and a fresh BFS for the cut.  Returns (max flow, source
-    side of the minimal minimum cut, BFS passes, the last one included)
-    and leaves the residual in net.cap."""
+def dinic_reference(net: FlowNetwork, s: int, t: int) -> tuple[int, list[int]]:
+    """Dinic on net's arrays, an oracle for max_flow's augmenting paths on
+    distance labels: a full BFS per phase, a DFS that tests every arc of a
+    node for capacity and level, a restart from s after each augmentation,
+    and a fresh BFS for the cut.  Returns (max flow, source side of the
+    minimal minimum cut) and leaves the residual in net.cap."""
     head, to, cap = net.head, net.to, net.cap
-    flow = searches = 0
+    flow = 0
     while True:
-        level = _reference_levels(net, s)
-        searches += 1
+        level = reference_levels(net, s)
         if level[t] < 0:
-            return flow, [v for v, d in enumerate(level) if d >= 0], searches
+            return flow, [v for v, d in enumerate(level) if d >= 0]
         it = [0] * net.n
         path: list[int] = []
         u = s

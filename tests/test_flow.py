@@ -9,7 +9,7 @@ from regfree.density import _reduced_network
 from regfree.flow import FlowNetwork
 from regfree.graph import Graph
 
-from helpers import dinic_reference
+from helpers import dinic_reference, reference_levels
 
 
 def _diamond() -> FlowNetwork:
@@ -122,29 +122,34 @@ def _network(n: int, arcs: list) -> FlowNetwork:
     return net
 
 
+def _assert_maximum_flow(net: FlowNetwork, before: list, s: int, t: int,
+                         value: int) -> None:
+    """net.cap is the residual of a valid s-t flow of the given value on
+    capacities before, and no residual path leads from s to t."""
+    cap, to = net.cap, net.to
+    assert all(c >= 0 for c in cap)
+    excess = [0] * net.n
+    for a in range(0, len(cap), 2):
+        assert cap[a] + cap[a + 1] == before[a] + before[a + 1]
+        f = before[a] - cap[a]  # flow from to[a + 1] to to[a]
+        excess[to[a]] += f
+        excess[to[a + 1]] -= f
+    assert excess[t] == value == -excess[s]
+    assert all(x == 0 for v, x in enumerate(excess) if v not in (s, t))
+    assert reference_levels(net, s)[t] < 0
+
+
 class TestKernelOracle:
-    """The one-pass kernel against the earlier Dinic: the same flow value,
-    the same residual capacity on every arc, the same number of phases and
-    the same minimal minimum cut."""
-
-    @pytest.fixture(autouse=True)
-    def count_searches(self, monkeypatch):
-        self.searches = 0
-        levels = FlowNetwork._levels
-
-        def counting(net, *args):
-            self.searches += 1
-            return levels(net, *args)
-
-        monkeypatch.setattr(FlowNetwork, "_levels", counting)
+    """max_flow against Dinic: the same flow value, the same minimal minimum
+    cut, and a valid maximum flow, whose residual capacities need not be
+    Dinic's."""
 
     def _assert_same(self, build_net, s: int, t: int) -> int:
         ref, net = build_net(), build_net()
-        value, cut, searches = dinic_reference(ref, s, t)
-        self.searches = 0
+        value, cut = dinic_reference(ref, s, t)
+        before = net.cap[:]
         assert net.max_flow(s, t) == value
-        assert self.searches == searches
-        assert net.cap == ref.cap
+        _assert_maximum_flow(net, before, s, t, value)
         assert net.min_cut_source_side(s) == cut
         return value
 
@@ -174,9 +179,74 @@ class TestKernelOracle:
                 )
 
 
+def _clique_to_sink(k: int, m: int, fillers: int = 0) -> FlowNetwork:
+    """s = 0 and nodes 2..k+1 joined pairwise by capacity 5 both ways, an
+    arc of capacity 1 from node 2 to t = 1, a path of m nodes into t that
+    nothing reaches, and isolated fillers."""
+    clique = [0] + list(range(2, k + 2))
+    net = FlowNetwork(k + m + 2 + fillers)
+    for i, u in enumerate(clique):
+        for v in clique[i + 1:]:
+            net.add_edge(u, v, 5, 5)
+    net.add_edge(2, 1, 1)
+    for v in range(k + 2, k + m + 2):
+        net.add_edge(v, v - 1 if v > k + 2 else 1, 1)
+    return net
+
+
+class TestKernelExits:
+    """Each way max_flow ends or restarts, on a network built to take it,
+    counted in reverse BFS passes: one to start and one per global
+    relabel."""
+
+    @pytest.fixture(autouse=True)
+    def count_passes(self, monkeypatch):
+        self.passes = 0
+        levels = FlowNetwork._levels
+
+        def counting(net, root, into=False):
+            self.passes += into
+            return levels(net, root, into)
+
+        monkeypatch.setattr(FlowNetwork, "_levels", counting)
+
+    def _run(self, net: FlowNetwork, s: int, t: int) -> tuple[int, int]:
+        before = net.cap[:]
+        value = net.max_flow(s, t)
+        _assert_maximum_flow(net, before, s, t, value)
+        return value, self.passes
+
+    def test_gap(self):
+        # after the one unit, node 2 is the only node at label 1; without
+        # the gap rule the clique climbs label by label past the 4 fillers
+        # and needs a global relabel to stop
+        net = _clique_to_sink(2, 0, fillers=4)
+        assert self._run(net, 0, 1) == (1, 1)
+        assert net.min_cut_source_side(0) == [0, 2, 3]
+
+    def test_global_relabel(self):
+        # the path into t keeps labels 0..3 occupied, so no gap opens
+        # before the clique has made n relabels
+        net = _clique_to_sink(3, 3)
+        assert self._run(net, 0, 1) == (1, 2)
+        assert net.min_cut_source_side(0) == [0, 2, 3, 4]
+
+    def test_isolated_sink(self):
+        net = _network(4, [(0, 1, 5), (1, 2, 5), (2, 0, 1)])
+        assert self._run(net, 0, 3) == (0, 1)
+        assert net.min_cut_source_side(0) == [0, 1, 2]
+
+    def test_direct_arc(self):
+        net = _diamond()
+        net.add_edge(0, 3, 3)
+        assert self._run(net, 0, 3) == (8, 1)
+        assert net.min_cut_source_side(0) == [0, 1]
+
+
 class TestCutReuse:
-    """min_cut_source_side reuses max_flow's last BFS only for the same
-    source on an unchanged network; otherwise it searches again."""
+    """min_cut_source_side searches the residual network as it stands, from
+    the source it is given: before any max_flow, after one, after add_edge
+    and from another node."""
 
     def test_before_any_max_flow(self):
         assert _diamond().min_cut_source_side(0) == [0, 1, 2, 3]

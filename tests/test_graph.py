@@ -77,6 +77,7 @@ class TestGraphBasics:
     def test_adjacency_is_sorted(self, case):
         n, edges = case
         g = Graph(n, edges)
+        assert g.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
         for v in range(n):
             nbrs = {b for a, b in edges if a == v} | {a for a, b in edges if b == v}
             assert g.adj[v] == tuple(sorted(nbrs))

@@ -1,8 +1,8 @@
 """Pinned exploration order of the three exact searches.
 
-The k-regular detector, Dinic max-flow and the MWIS pricer are exact, but
-the witness and node count, the residual network and the tie-broken set
-they return all depend on the order in which they explore.  Those values
+The k-regular detector, the augmenting-path max-flow and the MWIS pricer
+are exact, but the witness and node count, the residual network and the
+tie-broken set they return all depend on the order in which they explore.  Those values
 reach the CLI output and the benchmark's work counters, so a rewrite of any
 of the searches must reproduce them exactly.
 
@@ -130,25 +130,28 @@ class TestDetectorOrder:
         assert res.witness.vertices == vertices
 
 
-class TestDinicOrder:
+class TestMaxFlowOrder:
     """Prefixes 3 and 4 of ladder 32,8,2 (seed 0).  The source side of a
     minimum cut does not depend on the augmenting order, but the residual
     capacities do, so those are pinned too, as a digest per Goldberg round,
-    with the BFS phases that max_flow ran on top of the greedy first flow.
-    On prefix 3 that flow is already maximum; on prefix 4 Dinic still runs
-    two phases per round.  Every round after the first runs on the previous
-    round's candidate set, so its digest is that smaller network's."""
+    with the reverse BFS passes max_flow made on top of the greedy first
+    flow: one for the exact labels, plus one per global relabel.  On prefix
+    3 that flow is already maximum, so the first pass finds t unreachable
+    and the digest is the greedy residual's; prefix 4's first round makes
+    one global relabel.  Every round after the first runs on the previous
+    round's candidate set, so its digest is that smaller network's.  On
+    these small networks every residual is also the one Dinic leaves."""
 
     LG = build(explicit_params([32, 8, 2], seed=0))
     PINNED = {
-        # event index i -> (max-density subgraph, (phases, residual digest)
+        # event index i -> (max-density subgraph, (passes, residual digest)
         # per round)
         3: (
             (0, 1, 3, 5, 7, 10, 12, 15, 17, 19, 24, 25, 26, 28, 33, 39),
             [
-                (0, "60672c0ba3a60717"),
-                (0, "8bc626e8650f8658"),
-                (0, "a9f92efa3f3cfc1d"),
+                (1, "60672c0ba3a60717"),
+                (1, "8bc626e8650f8658"),
+                (1, "a9f92efa3f3cfc1d"),
             ],
         ),
         4: (
@@ -156,26 +159,25 @@ class TestDinicOrder:
                 0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 15, 16, 17, 18, 19, 21,
                 22, 23, 24, 25, 26, 28, 30, 31, 32, 33, 35, 37, 39, 40, 41,
             ),
-            [(2, "4711059d68ade129"), (2, "3640b11e0fabb69b")],
+            [(2, "4711059d68ade129"), (1, "3640b11e0fabb69b")],
         ),
     }
 
     def test_prefix_subgraphs_and_residuals(self, monkeypatch):
         rounds = []
-        searches = []
+        passes = []
         max_flow = flow.FlowNetwork.max_flow
         levels = flow.FlowNetwork._levels
 
-        def counting(net, s, t=None):
-            searches.append(s)
-            return levels(net, s, t)
+        def counting(net, root, into=False):
+            passes.append(into)
+            return levels(net, root, into)
 
         def recording(net, s, t):
-            searches.clear()
+            passes.clear()
             value = max_flow(net, s, t)
-            # every BFS but the last, which finds t unreachable, is a phase
             digest = hashlib.sha256(repr(net.cap).encode()).hexdigest()[:16]
-            rounds.append((len(searches) - 1, digest))
+            rounds.append((sum(passes), digest))
             return value
 
         monkeypatch.setattr(flow.FlowNetwork, "_levels", counting)

@@ -28,6 +28,12 @@ class TestParams:
         with pytest.raises(ValueError, match="0.25"):
             SubsampleParams(p=0.25, degen_threshold=2, seed=0)
 
+    @pytest.mark.parametrize("p", [True, False])
+    def test_bool_p_rejected(self, p):
+        # True used to run silently as p = 1
+        with pytest.raises(ValueError, match=f"got {p}"):
+            SubsampleParams(p=p, degen_threshold=2, seed=0)
+
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             SubsampleParams(p=Fraction(1, 2), degen_threshold=0, seed=0)

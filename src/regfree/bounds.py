@@ -17,7 +17,7 @@ a second time at double precision; a verdict that flips is an error.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
@@ -104,11 +104,6 @@ class PaperRegime:
     epsilon: mp.mpf
     c_real: mp.mpf  # log log n / 10, before the floor
     num_layers: int
-    log_layer_sizes: tuple = field(init=False)  # logs of the real |B_1|..|B_C|
-
-    def __post_init__(self):
-        logs = tuple(self.log_layer_size(i) for i in range(1, self.num_layers + 1))
-        object.__setattr__(self, "log_layer_sizes", logs)
 
     def log_layer_size(self, i: int) -> mp.mpf:
         """log|B_i| = (1 - 20^i * epsilon) * log n, for any i >= 1."""
@@ -128,6 +123,16 @@ def regime(log_n) -> PaperRegime:
     return PaperRegime(log_n, eps, c_real, c)
 
 
+def _exponent(reg: PaperRegime):
+    """log C, e^(-5 sqrt(log n)) and the exponent D = 6 log^2 C / C -
+    e^(-5 sqrt(log n)) of the independent-set bound, for C > 1."""
+    if reg.c_real <= 1:
+        raise DomainError("need C > 1 so log C > 0")
+    log_c = mp.log(reg.c_real)
+    small = mp.exp(-5 * mp.sqrt(reg.log_n))
+    return log_c, small, 6 * log_c**2 / reg.c_real - small
+
+
 @dataclass(frozen=True)
 class ChainStep:
     label: str
@@ -140,8 +145,15 @@ class ChainStep:
 @dataclass(frozen=True)
 class ChainReport:
     steps: tuple[ChainStep, ...]
-    first_failure: Optional[int]
     dps: int
+
+    @property
+    def verdicts(self) -> tuple[bool, ...]:
+        return tuple(s.holds for s in self.steps)
+
+    @property
+    def first_failure(self) -> Optional[int]:
+        return next((i for i, h in enumerate(self.verdicts) if not h), None)
 
     @property
     def all_hold(self) -> bool:
@@ -163,27 +175,18 @@ def _step(label, left, right, identity=False) -> ChainStep:
     return ChainStep(label, left, right, holds, identity)
 
 
-def _report(steps, dps) -> ChainReport:
-    first = next((i for i, s in enumerate(steps) if not s.holds), None)
-    return ChainReport(tuple(steps), first, dps)
-
-
-def _step_verdicts(rep: ChainReport) -> list[bool]:
-    return [s.holds for s in rep.steps]
-
-
-def _replay(log_n, dps: Optional[int], build, verdicts=_step_verdicts):
-    """Check the domain, then build(regime(log_n), d) at d = dps and at
-    d = 2*dps digits; PrecisionError if the two sets of verdicts differ."""
-    dps = default_dps() if dps is None else dps
+def _replay(log_n, build):
+    """Check the domain, then build(regime(log_n)) at default_dps() digits
+    and at twice that; PrecisionError if the two reports' verdicts differ."""
+    dps = default_dps()
     if dps < 20:  # _tol sits 10 digits below dps and would pass every step
         raise DomainError(f"need a precision of at least 20 digits, got {dps}")
     _check_log_n(log_n)
     reps = []
     for d in (dps, 2 * dps):
         with mp.workdps(d):
-            reps.append(build(regime(log_n), d))
-    if verdicts(reps[0]) != verdicts(reps[1]):
+            reps.append(build(regime(log_n)))
+    if reps[0].verdicts != reps[1].verdicts:
         raise PrecisionError("verdicts changed at double precision")
     return reps[0]
 
@@ -200,11 +203,11 @@ def _log_binom_real(y, m: int):
     return total - mp.loggamma(m + 1)
 
 
-def reg_chain(*, log_n, i: int, x: int, dps: Optional[int] = None) -> ChainReport:
+def reg_chain(*, log_n, i: int, x: int) -> ChainReport:
     """Replay the regular-subgraph probability chain for event index i and
     subgraph size x (log-space values of the seven displayed expressions)."""
 
-    def build(reg, dps):
+    def build(reg):
         if x < 1:
             raise DomainError("x must be >= 1")
         ln, eps = reg.log_n, reg.epsilon
@@ -229,19 +232,19 @@ def reg_chain(*, log_n, i: int, x: int, dps: Optional[int] = None) -> ChainRepor
         l5 = x * (mp.log(100) + ln + log_b_i / 10 - (mp.mpf(11) / 10) * log_b_prev)
         l6 = x * (mp.log(100) - (mp.mpf(9) / 10) * mp.power(20, i - 1) * eps * ln)
         l7 = -x * mp.sqrt(ln) / 2
-        return _report([
+        return ChainReport((
             _step("binomials_vs_entropy", l1, l2),
             _step("drop_ceiling", l2, l3),
             _step("collect_constants", l3, l4),
             _step("x_at_most_1000Bi", l4, l5),
             _step("layer_size_identity", l5, l6, identity=True),
             _step("exponent_vs_half_sqrt_logn", l6, l7),
-        ], dps)
+        ), mp.mp.dps)
 
-    return _replay(log_n, dps, build)
+    return _replay(log_n, build)
 
 
-def frac_chain(*, log_n, i: int, p_i, dps: Optional[int] = None) -> ChainReport:
+def frac_chain(*, log_n, i: int, p_i) -> ChainReport:
     """Replay the independent-set probability chain for layer i and layer-i
     occupancy fraction p_i.
 
@@ -250,23 +253,21 @@ def frac_chain(*, log_n, i: int, p_i, dps: Optional[int] = None) -> ChainReport:
     the documented boundary value 8 log C, and the elementwise inequality
     (1-t) <= e^{-t} behind the product bound is replayed at t = p_i."""
 
-    def build(reg, dps):
-        c_real = reg.c_real
-        if c_real <= 1:
-            raise DomainError("need C > 1 so log C > 0")
+    def build(reg):
+        log_c, small, d = _exponent(reg)
         if not (1 <= i <= reg.num_layers):
             raise DomainError(f"need 1 <= i <= C = {reg.num_layers}")
         p = mp.mpf(p_i)
-        log_c = mp.log(c_real)
-        lo = log_c / c_real
+        lo = log_c / reg.c_real
         # fixed snap window so float inputs sitting on the boundary are
         # accepted identically at every working precision; NaN is outside
         if not lo * (1 - mp.mpf("1e-12")) <= p <= 1:
             raise DomainError("need (log C)/C <= p_i <= 1")
         p = max(p, lo)
-        b_i = mp.exp(reg.log_layer_sizes[i - 1])
-        tail = mp.fsum(mp.exp(log_b) for log_b in reg.log_layer_sizes[i:])
-        small = mp.exp(-5 * mp.sqrt(reg.log_n))
+        b_i = mp.exp(reg.log_layer_size(i))
+        tail = mp.fsum(
+            mp.exp(reg.log_layer_size(j)) for j in range(i + 1, reg.num_layers + 1)
+        )
         log_inv_p = -mp.log(p)
         s0_left = p * b_i * mp.log(1 - p)  # mp.log(0) is -inf at p = 1
         s0_right = -p * p * b_i
@@ -277,17 +278,17 @@ def frac_chain(*, log_n, i: int, p_i, dps: Optional[int] = None) -> ChainReport:
         )
         v1 = b_i * (-8 * p * log_c + p * (1 + log_inv_p) + small)
         v2 = b_i * (-8 * p * log_c + 2 * p * log_c + small)
-        v3 = -b_i * (6 * log_c**2 / c_real - small)
-        return _report([
+        v3 = -b_i * d
+        return ChainReport((
             _step("one_minus_t_vs_exp_at_p_i", s0_left, s0_right),
             _step("counting_and_tail_sizes", v0, v1),
             _step("entropy_vs_2logC", v1, v2),
             _step("p_i_at_least_logC_over_C", v2, v3),
             _step("side_tail_sizes", tail, b_i * small),
             _step("side_entropy", 1 + log_inv_p, 2 * log_c),
-        ], dps)
+        ), mp.mp.dps)
 
-    return _replay(log_n, dps, build)
+    return _replay(log_n, build)
 
 
 @dataclass(frozen=True)
@@ -302,20 +303,23 @@ class UnionBoundsReport:
     dps: int
 
     @property
+    def verdicts(self) -> tuple:
+        return (self.closure_holds, self.partial_matches,
+                tuple(h for *_, h in self.per_layer))
+
+    @property
     def all_hold(self) -> bool:
-        return self.closure_holds and self.partial_matches and all(
-            h for (_, _, _, h) in self.per_layer
-        )
+        closure, matches, per_layer = self.verdicts
+        return closure and matches and all(per_layer)
 
 
-def union_bounds(*, log_n, dps: Optional[int] = None) -> UnionBoundsReport:
+def union_bounds(*, log_n) -> UnionBoundsReport:
     """Close the two union bounds: the geometric sum over subgraph sizes and
     the per-layer comparison |B_i| e^{-D |B_i|} <= e^{-sqrt(n)}."""
 
-    def build(reg, dps):
-        ln, c_real = reg.log_n, reg.c_real
-        if c_real <= 1:
-            raise DomainError("need C > 1 so log C > 0")
+    def build(reg):
+        ln = reg.log_n
+        *_, d = _exponent(reg)
         r = mp.exp(-mp.sqrt(ln) / 2)
         closed = r / (1 - r)
         partial = mp.mpf(0)
@@ -327,20 +331,14 @@ def union_bounds(*, log_n, dps: Optional[int] = None) -> UnionBoundsReport:
         matches = abs(partial - closed) <= abs(closed) * mp.mpf(10) ** (
             -(mp.mp.dps - 10)
         )
-        log_c = mp.log(c_real)
-        small = mp.exp(-5 * mp.sqrt(ln))
-        d = 6 * log_c**2 / c_real - small
         per_layer = []
-        sqrt_n = mp.exp(ln / 2)
-        for i, log_b in enumerate(reg.log_layer_sizes, start=1):
+        rhs = -mp.exp(ln / 2)
+        for i in range(1, reg.num_layers + 1):
+            log_b = reg.log_layer_size(i)
             lhs = log_b - d * mp.exp(log_b)
-            rhs = -sqrt_n
             per_layer.append((i, lhs, rhs, bool(lhs <= rhs + _tol(lhs, rhs))))
         return UnionBoundsReport(
-            r, closed, partial, 2 * r, closure, matches, tuple(per_layer), dps
+            r, closed, partial, 2 * r, closure, matches, tuple(per_layer), mp.mp.dps
         )
 
-    def verdicts(rep):
-        return rep.closure_holds, rep.partial_matches, [h for *_, h in rep.per_layer]
-
-    return _replay(log_n, dps, build, verdicts)
+    return _replay(log_n, build)

@@ -28,8 +28,7 @@ same minimum cuts.  The set reachable from s after any maximum flow is the
 minimal minimum cut, so every candidate set, every round and every
 DensityReport is the same in both.  For the same reason they do not depend
 on the max-flow algorithm, nor on the order in which it augments: whatever
-residual capacities Dinic's blocking flows or flow.py's augmenting paths on
-distance labels leave, the reachable set is the same.
+residual capacities any maximum flow leaves, the reachable set is the same.
 
 Before max_flow runs, a greedy first flow makes one pass over the edges: an
 edge that joins a vertex with surplus left (on its s-arc) to one with

@@ -37,8 +37,9 @@ NOT_FOUND = "not_found"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 # search nodes: k = 3 on the 340-vertex ladder 256,64,16,4 finds a witness in
-# 569-3,255 nodes on seeds 0-5, at 9,000-13,000 nodes/s on one 2-vCPU core,
-# so the default stops an undecided search after about 8-11 s
+# 569-3,255 nodes on seeds 0-5; an undecided search (k = 4 on 48,24,12,6,3
+# seed 1 or 64,32,16,8,4 seed 0) uses up the default in about 4-6 s, at
+# 16,000-28,000 nodes/s on one 2-vCPU core
 DEFAULT_BUDGET = 100_000
 
 # restarts: run i of a component's search stops after RESTART_UNIT * luby(i)

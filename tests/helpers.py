@@ -2,8 +2,8 @@
 kept deliberately independent of the library's algorithms (a reference
 Fraction-tableau simplex and the chi_f oracle on it among them), the
 library's earlier peels, Goldberg network (the network runs on the
-library's Dinic), Dinic kernel and per-edge detector kernel, and an exact
-chromatic number for small graphs."""
+library's max_flow) and per-edge detector kernel, a Dinic reference for
+max_flow, and an exact chromatic number for small graphs."""
 
 from __future__ import annotations
 

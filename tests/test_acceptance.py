@@ -324,18 +324,21 @@ def test_criterion_7_subsample_invariants(capsys, desk_instances):
     )
 
 
-def test_criterion_8_bounds_replay(capsys):
+def test_criterion_8_bounds_replay(capsys, monkeypatch):
+    monkeypatch.setenv("REGFREE_PRECISION", "70")
+
     def body():
         log_n = mp.exp(40)  # n = e^(e^40)
         for i in (2, 3):
             for x in (1, 10, 100):
-                rep = reg_chain(log_n=log_n, i=i, x=x, dps=70)
+                rep = reg_chain(log_n=log_n, i=i, x=x)
                 assert rep.all_hold, (i, x, rep.first_failure)
+                assert rep.dps == 70
                 ident = next(s for s in rep.steps if s.is_identity)
                 scale = max(1, abs(ident.left))
                 assert abs(ident.left - ident.right) <= scale * mp.mpf(10) ** -50
-        ub = union_bounds(log_n=log_n, dps=70)
-        assert ub.all_hold
+        ub = union_bounds(log_n=log_n)
+        assert ub.all_hold and ub.dps == 70
         scale = abs(ub.geometric_closed)
         assert abs(ub.geometric_partial - ub.geometric_closed) <= scale * mp.mpf(10) ** -50
 

@@ -4,8 +4,12 @@ import mpmath as mp
 import pytest
 
 from regfree.bounds import (
+    ChainReport,
     DomainError,
     NEG_INF,
+    PrecisionError,
+    _replay,
+    _step,
     frac_chain,
     parse_real,
     read_log_n,
@@ -64,13 +68,12 @@ class TestPaperRegime:
             assert r.num_layers == 4
             assert mp.almosteq(r.epsilon, mp.exp(-20))
             # log|B_i| = (1 - 20^i eps) e^40
-            for i, lb in enumerate(r.log_layer_sizes, start=1):
+            sizes = [r.log_layer_size(i) for i in range(1, r.num_layers + 1)]
+            for i, lb in enumerate(sizes, start=1):
                 expect = (1 - mp.power(20, i) * mp.exp(-20)) * mp.exp(40)
                 assert mp.almosteq(lb, expect)
         # sizes shrink with i
-        assert all(
-            a > b for a, b in zip(r.log_layer_sizes, r.log_layer_sizes[1:])
-        )
+        assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
     def test_boundary_snap(self):
         # a 53-bit float for e^10 sits just below the C = 1 boundary;
@@ -154,6 +157,10 @@ class TestFracChain:
         rep = frac_chain(log_n=LOG_N_40, i=1, p_i=mp.mpf(1))
         assert rep.steps[0].left == NEG_INF and rep.steps[0].holds
 
+    def test_small_n_rejected(self):
+        with pytest.raises(DomainError, match="need C > 1"):
+            frac_chain(log_n=mp.mpf("1.5"), i=1, p_i=mp.mpf("0.5"))  # C <= 1
+
     def test_nan_p_rejected(self):
         # used to slip past the range check and report a first step that holds
         with pytest.raises(DomainError):
@@ -192,8 +199,9 @@ class TestUnionBounds:
 
 
 class TestPrecisionContract:
-    def test_custom_dps_respected(self):
-        rep = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=30)
+    def test_custom_dps_respected(self, monkeypatch):
+        monkeypatch.setenv("REGFREE_PRECISION", "30")
+        rep = reg_chain(log_n=LOG_N_40, i=2, x=10)
         assert rep.dps == 30
 
     def test_integer_n_read_at_recheck_precision(self):
@@ -208,14 +216,26 @@ class TestPrecisionContract:
         # the step tolerance is 10 digits below dps, so at 5 digits this
         # chain, which fails at step 3, would hold throughout
         log_n = mp.exp(11)
-        with pytest.raises(DomainError):
-            reg_chain(log_n=log_n, i=2, x=10, dps=dps)
         monkeypatch.setenv("REGFREE_PRECISION", str(dps))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least 20 digits"):
             reg_chain(log_n=log_n, i=2, x=10)
-        assert reg_chain(log_n=log_n, i=2, x=10, dps=20).first_failure == 3
+        monkeypatch.setenv("REGFREE_PRECISION", "20")
+        assert reg_chain(log_n=log_n, i=2, x=10).first_failure == 3
 
-    def test_verdicts_stable_at_higher_dps(self):
-        a = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=30)
-        b = reg_chain(log_n=LOG_N_40, i=2, x=10, dps=120)
+    def test_verdicts_stable_at_higher_dps(self, monkeypatch):
+        monkeypatch.setenv("REGFREE_PRECISION", "30")
+        a = reg_chain(log_n=LOG_N_40, i=2, x=10)
+        monkeypatch.setenv("REGFREE_PRECISION", "120")
+        b = reg_chain(log_n=LOG_N_40, i=2, x=10)
+        assert a.dps == 30 and b.dps == 120
         assert [s.holds for s in a.steps] == [s.holds for s in b.steps]
+
+    def test_verdict_flip_raises(self, monkeypatch):
+        # 5e-41 <= 0 holds within the 1e-40 tolerance at 50 digits, not
+        # within the 1e-90 of the re-check at 100
+        def build(reg):
+            return ChainReport((_step("flip", mp.mpf("5e-41"), 0),), mp.mp.dps)
+
+        monkeypatch.setenv("REGFREE_PRECISION", "50")
+        with pytest.raises(PrecisionError):
+            _replay(LOG_N_40, build)

@@ -118,6 +118,8 @@ class TestUsageErrors:
             (["bounds", "union", "--n", "(e^e^40)^2"], "--n"),
             # read as 10^10^20, the replay ran far above e and held
             (["bounds", "union", "--n=-10^10^20"], "--n"),
+            # a budget that is not an integer
+            (["detect-regular", "--k", "4", "--in", "g.json", "--budget", "abc"], "--budget"),
         ],
     )
     def test_parse_error_names_its_input(self, argv, named, capsys):
@@ -256,6 +258,19 @@ class TestChif:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert (doc["chi_f_lower_bound"], doc["total_weight"]) == ("5/2", "5/1")
+
+    def test_column_limit_is_inconclusive(self, tmp_path, capsys):
+        # C_5 has chi_f = 5/2; one column cannot reach it
+        path = tmp_path / "c5.json"
+        path.write_text(Graph(5, [(i, (i + 1) % 5) for i in range(5)]).to_json())
+        code, out, _ = run(["chif", "--in", str(path), "--column-limit", "1"], capsys)
+        assert code == EXIT_INCONCLUSIVE
+        assert json.loads(out) == {
+            "chi_f": None,
+            "lower": "2/1",
+            "upper": "3/1",
+            "outcome": "column_limit_exceeded",
+        }
 
     def test_lower_bound_at_desk_scale(self, desk_graph, capsys):
         # the MWIS behind it has weight 389/256 out of a total of 4

@@ -62,6 +62,20 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Graph(-1, []),
+            lambda: k_core(complete_graph(4), -1),
+            lambda: induced_subgraph(complete_graph(4), [4]),
+            lambda: VertexOrdering((0, 0), 0),
+        ],
+        ids=["negative_n", "negative_core", "vertex_past_n", "not_a_permutation"],
+    )
+    def test_invalid_arguments_rejected(self, call):
+        with pytest.raises(GraphError):
+            call()
+
     @pytest.mark.parametrize("u", [-1, 4])
     def test_has_edge_out_of_range_is_false(self, u):
         # vertex 3 is adjacent to 0; a negative id must not index from the end

@@ -129,6 +129,11 @@ class TestWitnessChecker:
         es = tuple((u, v) for u in vs for v in vs if u < v)
         assert not verify_witness(g, RegularWitness(vs, es, 4))
 
+    def test_rejects_edge_leaving_the_vertices(self):
+        # (2, 3) is an edge of K4, but 3 is not a witness vertex
+        w = RegularWitness((0, 1, 2), ((0, 1), (1, 2), (2, 3)), 2)
+        assert not verify_witness(complete_graph(4), w)
+
     @pytest.mark.parametrize("v", [999, 3, -1])
     def test_rejects_vertex_outside_graph(self, v):
         triangle = ((0, 1), (0, 2), (1, 2))
